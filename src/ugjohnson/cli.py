@@ -15,8 +15,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 
 def _hash_file(path: str) -> str:
     h = hashlib.sha256()
@@ -56,6 +54,11 @@ def _apply_config_file(args: argparse.Namespace) -> argparse.Namespace:
 
 
 def _thread_cap():
+    """Pass UGHC_THREADS on to the BLAS thread variables; a no-op when it is unset.
+
+    BLAS reads them once, when numpy is first imported, so this module imports
+    numpy only inside the commands, after `main` has called this.
+    """
     cap = os.environ.get("UGHC_THREADS")
     if cap:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -137,6 +140,8 @@ def cmd_round(args) -> int:
 
 
 def cmd_spectra(args) -> int:
+    import numpy as np
+
     from .cayley import CayleyDomain
     dom = CayleyDomain(args.n, args.l, round(args.alpha * args.l))
     spec = dom.numeric_spectrum()

@@ -87,14 +87,6 @@ def parse_monomial(name: str):
 Poly = dict  # Monomial -> float
 
 
-def poly_one(coeff: float = 1.0) -> Poly:
-    return {ONE: coeff}
-
-
-def poly_var(u: int, a: int, copy: int = 0, coeff: float = 1.0) -> Poly:
-    return {var(u, a, copy): coeff}
-
-
 def poly_add(*polys: Poly) -> Poly:
     out: Poly = {}
     for p in polys:

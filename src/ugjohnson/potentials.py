@@ -179,12 +179,6 @@ def default_eps_schedule(r: int, c: float = 1.0) -> list[float]:
     return eps
 
 
-def subcube_density(g: JohnsonGraph, members: np.ndarray, a: tuple) -> float:
-    """Fraction of the subcube J|_a lying in the 0/1 vertex vector `members`."""
-    ids = Subcube(g, a).vertex_ids()
-    return float(np.mean(members[ids]))
-
-
 def dense_subcube_indicators(g: JohnsonGraph, inst: UGInstance, x: np.ndarray,
                              xp: np.ndarray, eps: Sequence[float]) -> dict:
     """Exact indicators T_{s,a} (dense at level |a|, not dense in any proper

@@ -37,10 +37,6 @@ class NoDenseSubcube(RuntimeError):
     pass
 
 
-class BudgetExhausted(RuntimeError):
-    pass
-
-
 @dataclass
 class RoundingConfig:
     regime: str = "close_to_1"       # or "low_completeness"

@@ -589,8 +589,7 @@ def relax(inst: UGInstance, D: int, pair_nonneg: Optional[bool] = None) -> Relax
                      entry_k=np.asarray(ek, dtype=np.int64),
                      const_entries=(np.asarray(ci, dtype=np.int64),
                                     np.asarray(cj, dtype=np.int64)),
-                     c=cvec, G=G, g0=g0)
-    prob._uniform_y = uniform_reduced_table(classes, q)
+                     c=cvec, uniform_y=uniform_reduced_table(classes, q), G=G, g0=g0)
     return Relaxation(inst, D, basis, classes, class_index, prob)
 
 
@@ -687,10 +686,6 @@ def solve(relaxation: Relaxation, method: str = "auto", seed: int = 0,
         raise ValueError(f"unknown method {method}")
     table = {m: float(y[k]) for k, m in enumerate(relaxation.classes)}
     return SolvedPE(inst.vertex_count, q, relaxation.D, table, solve_info=info)
-
-
-def relax_and_solve(inst: UGInstance, D: int, **kw) -> SolvedPE:
-    return solve(relax(inst, D), **kw)
 
 
 # ---------------------------------------------------------------------------

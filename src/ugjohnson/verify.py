@@ -140,7 +140,7 @@ def suite_potentials(seed: int = 0) -> dict:
     rel4 = sos.relax(inst4, 4)
     peU = sos.SolvedPE(inst4.vertex_count, 2, 4,
                        {m: float(v) for m, v in
-                        zip(rel4.classes, rel4.problem._uniform_y)})
+                        zip(rel4.classes, rel4.problem.uniform_y)})
     psi = pot.psi_potential(peU, inst4)
     n, q = inst4.vertex_count, 2
     expected = (1 / n) * (1 / q) + (1 - 1 / n) * (1 / q ** 2)

@@ -1,7 +1,13 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ugjohnson
 from ugjohnson.cli import main
 
 
@@ -80,3 +86,24 @@ def test_config_file_overrides(tmp_path):
     d = json.loads(out.read_text())
     assert d["q"] == 3
     assert d["metadata"]["planted"]["epsilon"] == 0.1
+
+
+def _threads_after(code: str, **env_extra: str) -> int:
+    """Thread count of a fresh interpreter after it runs `code`, BLAS variables unset."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("UGHC_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                        "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(ugjohnson.__file__).parents[1])
+    env.update(env_extra)
+    code += "\nprint(open('/proc/self/status').read())"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    return int(re.search(r"^Threads:\s+(\d+)", out, re.M).group(1))
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+def test_ughc_threads_caps_blas_threads():
+    run_cli = "from ugjohnson.cli import main\nmain(['spectra', '--n', '4', '--l', '2', '--alpha', '0.5'])"
+    assert _threads_after(run_cli, UGHC_THREADS="1") == 1
+    # unset, the cap leaves BLAS at its own default
+    assert _threads_after(run_cli) == _threads_after("import numpy")

@@ -199,7 +199,7 @@ def test_pairwise_mi_independent_is_zero(setup):
     # uniform independent labels: a solved uniform table
     rel = sos.relax(inst, 4)
     peU = sos.SolvedPE(10, 2, 4, {m: float(v) for m, v in
-                                  zip(rel.classes, rel.problem._uniform_y)})
+                                  zip(rel.classes, rel.problem.uniform_y)})
     prod = sos.ProductPE(peU, peU)
     spec = ShiftPartitionSpec(inst, 0.3, 0.1, mode="plain")
     coll = LocalDistributionCollection(prod, spec, 8)

@@ -1,10 +1,11 @@
+import functools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ugjohnson import johnson, sos, ug_core
-from ugjohnson.sdp import repair_psd, solve_admm, solve_ipm
+from ugjohnson.sdp import _schur, _schur_plan, repair_psd, solve_admm, solve_ipm
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +40,7 @@ def test_admm_deterministic(medium_relaxation):
 
 def test_repair_psd_restores_feasibility(medium_relaxation):
     _, rel = medium_relaxation
-    y = rel.problem._uniform_y.copy()
+    y = rel.problem.uniform_y.copy()
     k = len(y) // 3
     y[k] += 0.8  # break PSD-ness
     M = rel.problem.assemble(y)
@@ -51,7 +52,7 @@ def test_repair_psd_restores_feasibility(medium_relaxation):
 
 def test_uniform_moments_are_interior(medium_relaxation):
     _, rel = medium_relaxation
-    M = rel.problem.assemble(rel.problem._uniform_y)
+    M = rel.problem.assemble(rel.problem.uniform_y)
     assert np.linalg.eigvalsh(M).min() > 0
 
 
@@ -85,3 +86,54 @@ def test_ipm_with_orthant_block():
     pe = sos.solve(rel)
     _, opt = ug_core.brute_force_opt(tri)
     assert pe.solve_info["objective"] >= opt - 1e-6
+
+
+def _schur_by_class_loop(prob, Sinv, X, d):
+    """Reference Schur matrix: one B x B product per class, then a bincount."""
+    m = prob.m
+    I_, J_, K_ = prob.entry_i, prob.entry_j, prob.entry_k - 1
+    H = np.empty((m, m))
+    for k in range(m):
+        sel = K_ == k
+        Wk = Sinv[:, I_[sel]] @ X[J_[sel], :]
+        H[k, :] = np.bincount(K_, weights=Wk[I_, J_], minlength=m)
+    if prob.G is not None and prob.G.shape[0]:
+        H += prob.G.T @ (prob.G * d[:, None])
+    return (H + H.T) / 2
+
+
+@pytest.mark.parametrize("n, q, D", [(6, 3, 2), (4, 3, 4)])
+def test_schur_build_matches_class_loop(n, q, D):
+    inst, _ = ug_core.plant(johnson.build(n, 2, 0.5), q, ug_core.PlantedSpec(0.5, 1))
+    prob = sos.relax(inst, D).problem
+    assert (prob.G is not None) == (D == 2)
+    rng = np.random.default_rng(D)
+    B = prob.side
+    A, C = rng.standard_normal((2, B, B))
+    Sinv = np.linalg.inv(A @ A.T + B * np.eye(B))
+    Sinv = (Sinv + Sinv.T) / 2
+    X = C @ C.T + B * np.eye(B)
+    d = rng.uniform(0.1, 2.0, 0 if prob.G is None else prob.G.shape[0])
+    H = _schur(_schur_plan(prob), Sinv, X, d)
+    ref = _schur_by_class_loop(prob, Sinv, X, d)
+    assert np.abs(H - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_lost_factorisation_ends_the_solve_stalled(monkeypatch):
+    # J(4,2,1) q=3 at D=4, plant seed 3003: the solve that raised LinAlgError
+    # from the step-length Cholesky before the IPM stopped on a lost factorisation
+    inst, _ = ug_core.plant(johnson.build(4, 2, 0.5), 3, ug_core.PlantedSpec(0.5, 3003))
+    rel = sos.relax(inst, 4)
+    pe = sos.solve(rel)
+    assert sos.validate(pe)["ok"]
+    # tol 0 is never met: the iterates run on until X or S is no longer
+    # numerically PD, and the last PD dual iterate comes back flagged
+    res = solve_ipm(rel.problem, tol=0.0, max_iter=200)
+    assert res.status == "stalled" and res.iterations < 200
+    np.linalg.cholesky(rel.problem.assemble(res.y))  # raises unless M(y) is PD
+    monkeypatch.setattr(sos, "solve_ipm", functools.partial(solve_ipm, tol=0.0, max_iter=200))
+    pe = sos.solve(rel)
+    assert pe.solve_info["status"] == "stalled"
+    assert not pe.solve_info["certified"]
+    assert sos.validate(pe)["ok"]
+    assert pe.solve_info["objective"] >= pe.solve_info["warm_value"] - 1e-6
