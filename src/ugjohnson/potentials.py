@@ -22,7 +22,7 @@ from .monomials import ONE, Poly, mul, poly_add, poly_mul, poly_scale, var
 from .sos import (DegreeExhausted, DistributionPE, ProductPE, PseudoExpectation,
                   ShiftSymmetrizedPE, clamp_distribution, vertex_val_poly, z_poly)
 from .steppoly import StepPoly, linear_surrogate
-from .ug_core import UGInstance, satisfied_mask
+from .ug_core import UGInstance, satisfied_mask, vertex_values
 
 NEAR_ZERO_PSI = 1e-9
 
@@ -81,45 +81,6 @@ def data_processing_check(joint2d: np.ndarray, g: np.ndarray, h: np.ndarray) -> 
 # integral-pair shift partition machinery
 
 
-def vertex_values(inst: UGInstance, x: np.ndarray,
-                  within: Optional[set] = None) -> np.ndarray:
-    """val_u(x) for every vertex; `within` restricts to edges inside a vertex set."""
-    n = inst.vertex_count
-    sat = satisfied_mask(inst, x)
-    num = np.zeros(n)
-    den = np.zeros(n)
-    for k, (u, v, _) in enumerate(inst.edges):
-        if within is not None and not (u in within and v in within):
-            continue
-        w = float(inst.weights[k])
-        num[u] += w * sat[k]
-        num[v] += w * sat[k]
-        den[u] += w
-        den[v] += w
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(den > 0, num / den, 0.0)
-    return out
-
-
-def vertex_values_and(inst: UGInstance, x: np.ndarray, xp: np.ndarray,
-                      within: Optional[set] = None) -> np.ndarray:
-    n = inst.vertex_count
-    sat = satisfied_mask(inst, x) & satisfied_mask(inst, xp)
-    num = np.zeros(n)
-    den = np.zeros(n)
-    for k, (u, v, _) in enumerate(inst.edges):
-        if within is not None and not (u in within and v in within):
-            continue
-        w = float(inst.weights[k])
-        num[u] += w * sat[k]
-        num[v] += w * sat[k]
-        den[u] += w
-        den[v] += w
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(den > 0, num / den, 0.0)
-    return out
-
-
 def g_parts(inst: UGInstance, x: np.ndarray, xp: np.ndarray) -> np.ndarray:
     """Indicator parts G_s(u) = 1(x(u) - x'(u) = s); shape (q, n)."""
     d = (np.asarray(x) - np.asarray(xp)) % inst.q
@@ -129,12 +90,11 @@ def g_parts(inst: UGInstance, x: np.ndarray, xp: np.ndarray) -> np.ndarray:
 
 
 def f_parts(inst: UGInstance, x: np.ndarray, xp: np.ndarray, p: Callable,
-            within: Optional[set] = None, val_within: Optional[set] = None
-            ) -> np.ndarray:
+            val_within: Optional[set] = None) -> np.ndarray:
     """F_s(u) = G_s(u) p(val_u(x)) p(val_u(x')); vals over `val_within` edges."""
     G = g_parts(inst, x, xp)
-    vx = vertex_values(inst, x, within=val_within)
-    vxp = vertex_values(inst, xp, within=val_within)
+    vx = vertex_values(inst, satisfied_mask(inst, x), within=val_within)
+    vxp = vertex_values(inst, satisfied_mask(inst, xp), within=val_within)
     return G * (p(vx) * p(vxp))[None, :]
 
 
@@ -252,9 +212,9 @@ def edge_cover_decompose(g: JohnsonGraph, inst: UGInstance, x: np.ndarray,
         raise ValueError("schedule must satisfy eps_r <= exp(-r)")
     q = inst.q
     G = g_parts(inst, x, xp)
-    lhs = float(np.dot((satisfied_mask(inst, x) & satisfied_mask(inst, xp)).astype(float),
-                       inst.weight_array()))
-    vand = vertex_values_and(inst, x, xp)
+    both = satisfied_mask(inst, x) & satisfied_mask(inst, xp)
+    lhs = float(np.dot(both.astype(float), inst.weight_array()))
+    vand = vertex_values(inst, both)
     terms = [0.0] * (r + 1)
     for s in range(q):
         if G[s].mean() >= eps[0]:
@@ -264,8 +224,7 @@ def edge_cover_decompose(g: JohnsonGraph, inst: UGInstance, x: np.ndarray,
         tot = 0.0
         for a in alist:
             ids = Subcube(g, a).vertex_ids()
-            ids_set = set(ids)
-            va = vertex_values_and(inst, x, xp, within=ids_set)
+            va = vertex_values(inst, both, within=ids)
             tot += float(np.mean(G[s, ids] * va[ids]))
         terms[i] += g.ell ** i * tot / comb(g.n, i)
     err = 4 * (1 - g.alpha) ** (r + 1)
@@ -363,16 +322,14 @@ def shift_fn_eval(spec: ShiftPartitionSpec, prod: ProductPE, u: int, s: int) -> 
     if spec.mode == "plain":
         return prod.pE(zp)
     if spec.mode == "surrogate":
-        within = set(spec.val_within) if spec.val_within is not None else None
-        pu0 = _surrogate_val_poly(spec, u, copy=0, within=within)
-        pu1 = _surrogate_val_poly(spec, u, copy=1, within=within)
+        pu0 = _surrogate_val_poly(spec, u, copy=0)
+        pu1 = _surrogate_val_poly(spec, u, copy=1)
         return prod.pE(poly_mul(poly_mul(zp, pu0), pu1))
     raise DegreeExhausted("full step-polynomial moments need the exact support path")
 
 
-def _surrogate_val_poly(spec: ShiftPartitionSpec, u: int, copy: int,
-                        within: Optional[set]) -> Poly:
-    vp = vertex_val_poly(spec.inst, u, copy=copy, within=within)
+def _surrogate_val_poly(spec: ShiftPartitionSpec, u: int, copy: int) -> Poly:
+    vp = vertex_val_poly(spec.inst, u, copy=copy, within=spec.val_within)
     scale = 1.0 / (2.0 * spec.nu)
     out = poly_scale(vp, scale)
     return poly_add(out, {ONE: (spec.nu - spec.beta) * scale})
@@ -490,8 +447,7 @@ def _slot_factor_poly(spec: ShiftPartitionSpec, slot: Slot, value: int) -> Poly:
     copy = 0 if kind in ("X", "p") else 1
     if kind in ("X", "Xp"):
         return {var(u, value, copy): 1.0}
-    within = set(spec.val_within) if spec.val_within is not None else None
-    base = _surrogate_val_poly(spec, u, copy=copy, within=within)
+    base = _surrogate_val_poly(spec, u, copy=copy)
     if value == 1:
         return base
     return poly_add({ONE: 1.0}, poly_scale(base, -1.0))
@@ -504,11 +460,10 @@ def _build_joint(prod: ProductPE, spec: ShiftPartitionSpec, slots: tuple[Slot, .
     pairs = support_pairs(prod)
     if pairs is not None:
         p = spec.p_callable()
-        within = set(spec.val_within) if spec.val_within is not None else None
         arr = np.zeros(sizes)
         for w, x, xp in pairs:
-            vx = vertex_values(spec.inst, x, within=within)
-            vxp = vertex_values(spec.inst, xp, within=within)
+            vx = vertex_values(spec.inst, satisfied_mask(spec.inst, x), within=spec.val_within)
+            vxp = vertex_values(spec.inst, satisfied_mask(spec.inst, xp), within=spec.val_within)
             arr_idx: list = []
             bern: list[float] = []  # success probabilities of the p-slots in order
             for (kind, u) in slots:

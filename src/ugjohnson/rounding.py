@@ -14,20 +14,21 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field, asdict
-from math import comb, log, sqrt
+from math import log, sqrt
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import potentials as pot
 from . import sos
-from .johnson import JohnsonGraph, Subcube
-from .monomials import EventPoly, ONE, Poly, mul, poly_add, poly_mul, poly_scale, var
+from .johnson import Subcube
+from .monomials import EventPoly, ONE, Poly, mul, poly_add, poly_mul, var
 from .potentials import (LocalDistributionCollection, ShiftPartitionSpec,
                          pairwise_mi, support_pairs, tv_distance, y_slots)
 from .sos import (DegreeExhausted, NearZeroEvent, ProductPE, PseudoExpectation,
                   condition, product, shift_symmetrize, z_poly)
-from .ug_core import UGInstance, randomize_edges, value as ug_value
+from .ug_core import (UGInstance, edges_inside, randomize_edges, satisfied_mask,
+                      value as ug_value)
 
 TV_EXCEEDANCE_CONST = 16.0   # instantiated O(.) constant in the TV-exceedance bound
 ROUND_J_CONST = 2.0          # instantiated O(delta + zeta) constant in the rounding guarantee
@@ -161,13 +162,11 @@ def condition_and_round(pe: PseudoExpectation, inst: UGInstance,
 def _scoped_value(inst: UGInstance, x: np.ndarray, within: Optional[set]) -> float:
     if within is None:
         return ug_value(inst, x)
-    idx = [k for k, (u, v, _) in enumerate(inst.edges) if u in within and v in within]
-    if not idx:
+    inside = edges_inside(inst, within)
+    if not inside.any():
         return 0.0
-    from .ug_core import satisfied_mask
-    m = satisfied_mask(inst, x)
-    w = inst.weight_array()
-    return float(np.dot(m[idx], w[idx]) / np.sum(w[idx]))
+    w = inst.weight_array()[inside]
+    return float(np.dot(satisfied_mask(inst, x)[inside], w) / np.sum(w))
 
 
 # ---------------------------------------------------------------------------
@@ -190,19 +189,8 @@ def both_sat_density_poly(inst: UGInstance, sub_ids: Sequence[int], s: int) -> P
     out: Poly = {}
     w = 1.0 / len(sub_ids)
     for u in sub_ids:
-        zu = z_poly(int(u), s, inst.q)
-        idx = [k for k in inst.incident(int(u))
-               if inst.edges[k][0] in within and inst.edges[k][1] in within]
-        if not idx:
-            continue
-        wtot = sum(float(inst.weights[k]) for k in idx)
-        acc: Poly = {}
-        for k in idx:
-            e0 = sos.edge_sat_poly(inst, k, copy=0)
-            e1 = sos.edge_sat_poly(inst, k, copy=1)
-            term = poly_scale(poly_mul(e0, e1), float(inst.weights[k]) / wtot)
-            acc = poly_add(acc, term)
-        for m, c in poly_mul(zu, acc).items():
+        acc = sos.vertex_val_and_poly(inst, int(u), within)
+        for m, c in poly_mul(z_poly(int(u), s, inst.q), acc).items():
             out[m] = out.get(m, 0.0) + w * c
     return out
 
@@ -574,28 +562,26 @@ def main_algorithm(inst: UGInstance, cfg: RoundingConfig,
         new_inst = randomize_edges(current, sorted(covered), seed=cfg.seed + 7000 + j)
 
         # per-iteration value-drop bound, measured with the best available witness
-        wit = witness if witness is not None else None
         drop_rec = {}
-        if wit is not None:
-            v_orig = ug_value(inst, wit)
-            v_now = ug_value(new_inst, wit)
+        if witness is not None:
+            v_orig = ug_value(inst, witness)
+            v_now = ug_value(new_inst, witness)
             bound = v_orig - 2 * len(covered) / n
             drop_rec = {"witness_value_original": v_orig, "witness_value_now": v_now,
                         "bound": bound, "ok": v_now >= bound - 1e-12}
         rec["value_drop"] = drop_rec
 
         # randomized-edge satisfaction ceiling, spot-checked on sampled assignments
-        rand_idx = [k for k, (u, v, _) in enumerate(new_inst.edges)
-                    if u in covered or v in covered]
-        ceiling_rec = {"edges_randomized": len(rand_idx)}
-        if rand_idx:
-            w = new_inst.weight_array()[rand_idx]
+        # edges with an endpoint in `covered`: those not inside the uncovered rest
+        rand = ~edges_inside(new_inst, set(range(n)) - covered)
+        ceiling_rec = {"edges_randomized": int(np.count_nonzero(rand))}
+        if rand.any():
+            w = new_inst.weight_array()[rand]
             w = w / w.sum()
             worst = 0.0
             for _ in range(100):
                 xr = rng.integers(0, inst.q, size=n)
-                from .ug_core import satisfied_mask
-                sat = satisfied_mask(new_inst, xr)[rand_idx]
+                sat = satisfied_mask(new_inst, xr)[rand]
                 worst = max(worst, float(np.dot(sat.astype(float), w)))
             ceiling_rec.update({"max_sampled_value": worst,
                                 "ceiling": 2.0 / inst.q + 0.1,
@@ -603,29 +589,21 @@ def main_algorithm(inst: UGInstance, cfg: RoundingConfig,
         rec["chernoff"] = ceiling_rec
 
         # per-iteration satisfied-fraction accounting, measured components
-        within_new = set(S_new)
-        from .ug_core import satisfied_mask
-        satm = satisfied_mask(current, x_sub)
-        e_new = [k for k, (u, v, _) in enumerate(current.edges)
-                 if u in within_new and v in within_new]
-        e_sub = [k for k, (u, v, _) in enumerate(current.edges)
-                 if u in C and v in C]
-        sat_new = sum(1 for k in e_new if satm[k])
+        e_new = edges_inside(current, S_new)
+        n_sub = int(np.count_nonzero(edges_inside(current, C)))
+        sat_new = int(np.count_nonzero(satisfied_mask(current, x_sub) & e_new))
         rec["iteration_value"] = {
-            "sat_on_new": sat_new, "edges_new": len(e_new), "edges_subcube": len(e_sub),
-            "global_fraction": sat_new / current.num_edges,
+            "sat_on_new": sat_new, "edges_new": int(np.count_nonzero(e_new)),
+            "edges_subcube": n_sub, "global_fraction": sat_new / current.num_edges,
             "analytic_rhs": (rec["value"] * (1 - g.alpha) ** cfg.r * len(C) / (2 * n))
-            if e_sub else 0.0,
+            if n_sub else 0.0,
         }
         # cumulative fraction of original edges satisfied by frozen labels
         # (both endpoints assigned); nondecreasing since labels only accrue
-        from .ug_core import satisfied_mask as _sm
         completed = labels.copy()
         completed[completed < 0] = 0
-        sat0 = _sm(inst, completed)
-        cum = sum(float(w) for k, (u, v, _) in enumerate(inst.edges)
-                  if labels[u] >= 0 and labels[v] >= 0 and sat0[k]
-                  for w in [inst.weights[k]])
+        done = edges_inside(inst, np.flatnonzero(labels >= 0)) & satisfied_mask(inst, completed)
+        cum = sum(inst.weight_array()[done].tolist())
         prev = trace.records[-1]["cumulative_fraction"] if trace.records else 0.0
         rec["cumulative_fraction"] = cum
         rec["cumulative_nondecreasing"] = cum >= prev - 1e-12

@@ -192,8 +192,8 @@ def solve_ipm(prob: MomentSDP, tol: float = 1e-8, max_iter: int = 80,
     final line-search margin; the duality gap certifies near-optimality.
 
     Status: "optimal" when the gap and primal residual meet tol; "max_iter";
-    or "stalled" when X or S stops being numerically PD (its Cholesky fails),
-    in which case the last dual iterate whose S was PD is returned.
+    or "stalled" when X or S stops being numerically PD (its Cholesky fails) or
+    the Schur matrix is singular; it then returns the last dual iterate whose S was PD.
     """
     B, m = prob.side, prob.m
     I_, J_, K_ = prob.entry_i, prob.entry_j, prob.entry_k - 1  # 0-based variables
@@ -250,7 +250,8 @@ def solve_ipm(prob: MomentSDP, tol: float = 1e-8, max_iter: int = 80,
         try:
             za, zb = np.linalg.solve(H + 1e-12 * np.eye(m), rhs).T
         except np.linalg.LinAlgError:
-            za, zb = np.linalg.lstsq(H, rhs, rcond=None)[0].T
+            status = "stalled"
+            break
 
         def newton(mu_target: float):
             dz = mu_target * za + zb

@@ -97,36 +97,40 @@ class PseudoExpectation:
 
     def value(self, inst: UGInstance, copy: int = 0) -> float:
         tot = 0.0
-        for (u, v, b), w in zip(inst.edges, inst.weights):
+        for (u, v, b), w in zip(inst.edges, inst.weight_array().tolist()):
             for a in range(inst.q):
-                tot += float(w) * self.moment(
+                tot += w * self.moment(
                     mul(var(u, (a + b) % inst.q, copy), var(v, a, copy)))
         return tot
 
 
 def val_poly(inst: UGInstance, copy: int = 0) -> Poly:
     out: Poly = {}
-    for (u, v, b), w in zip(inst.edges, inst.weights):
+    for (u, v, b), w in zip(inst.edges, inst.weight_array().tolist()):
         for a in range(inst.q):
             m = mul(var(u, (a + b) % inst.q, copy), var(v, a, copy))
-            out[m] = out.get(m, 0.0) + float(w)
+            out[m] = out.get(m, 0.0) + w
     return out
 
 
 def vertex_val_poly(inst: UGInstance, u: int, copy: int = 0,
                     within: Optional[set] = None) -> Poly:
-    idx = inst.incident(u)
-    if within is not None:
-        idx = [k for k in idx if inst.edges[k][0] in within and inst.edges[k][1] in within]
+    """val_u(X) over the edges of u inside `within`, degree 2."""
     out: Poly = {}
-    if not idx:
-        return out
-    wtot = sum(float(inst.weights[k]) for k in idx)
-    for k in idx:
+    for k, c in inst.scoped_edges(u, within):
         (a_, b_, s) = inst.edges[k]
         for a in range(inst.q):
             m = mul(var(a_, (a + s) % inst.q, copy), var(b_, a, copy))
-            out[m] = out.get(m, 0.0) + float(inst.weights[k]) / wtot
+            out[m] = out.get(m, 0.0) + c
+    return out
+
+
+def vertex_val_and_poly(inst: UGInstance, u: int, within: Optional[set] = None) -> Poly:
+    """val_u(X and X') over the edges of u inside `within`, degree (2,2)."""
+    out: Poly = {}
+    for k, c in inst.scoped_edges(u, within):
+        term = poly_mul(edge_sat_poly(inst, k, copy=0), edge_sat_poly(inst, k, copy=1))
+        out = poly_add(out, poly_scale(term, c))
     return out
 
 
@@ -211,10 +215,10 @@ class SolvedPE(PseudoExpectation):
     def moment(self, m: Monomial) -> float:
         if m is ZERO:
             return 0.0
-        self._check_degree(m)
-        hit = self._cache.get(m)
+        hit = self._cache.get(m)  # a cached monomial has passed the degree check
         if hit is not None:
             return hit
+        self._check_degree(m)
         if all(a != 0 for (_, _, a) in m):
             out = self.table.get(m)
             if out is None:
@@ -257,10 +261,10 @@ class ConditionedPE(PseudoExpectation):
     def moment(self, m: Monomial) -> float:
         if m is ZERO:
             return 0.0
-        self._check_degree(m)
-        hit = self._cache.get(m)
+        hit = self._cache.get(m)  # a cached monomial has passed the degree check
         if hit is not None:
             return hit
+        self._check_degree(m)
         num = 0.0
         for me, ce in self.event.poly.items():
             mm = mul(m, me)
@@ -335,6 +339,9 @@ class ProductPE(PseudoExpectation):
         self._w: Optional[Poly] = None
         self._z = 1.0
         self._cache: dict[Monomial, float] = {}
+        # the events are fixed, so each side's remaining degree is too
+        self._side_degree = [pe.degree - sum(e.side_degree(c) for e in self.events)
+                             for c, pe in enumerate((self.pe1, self.pe2))]
         if self.events:
             w: Poly = {ONE: 1.0}
             for e in self.events:
@@ -349,9 +356,7 @@ class ProductPE(PseudoExpectation):
         return min(self.side_degree(0), self.side_degree(1))
 
     def side_degree(self, copy: int) -> int:
-        base = (self.pe1 if copy == 0 else self.pe2).degree
-        used = sum(e.side_degree(copy) for e in self.events)
-        return base - used
+        return self._side_degree[copy]
 
     def _raw_moment(self, m: Monomial) -> float:
         m0, m1 = split_copies(m)
@@ -363,10 +368,10 @@ class ProductPE(PseudoExpectation):
     def moment(self, m: Monomial) -> float:
         if m is ZERO:
             return 0.0
-        self._check_degree(m)
-        hit = self._cache.get(m)
+        hit = self._cache.get(m)  # a cached monomial has passed the degree check
         if hit is not None:
             return hit
+        self._check_degree(m)
         if self._w is None:
             out = self._raw_moment(m)
         else:

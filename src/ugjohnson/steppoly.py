@@ -208,26 +208,13 @@ def compose_val(p, inst, u: int, mode: str = "vertex", copy: int = 0,
     literal composition on integral assignments.
     """
     from .monomials import ONE, EventPoly, poly_add, poly_scale
-    from .sos import vertex_val_poly
+    from .sos import vertex_val_and_poly, vertex_val_poly
 
     beta, nu = p.beta, p.nu
     if mode == "both":
-        from .monomials import poly_mul
-        from .sos import edge_sat_poly
-        idx = [k for k in inst.incident(u)
-               if within is None or (inst.edges[k][0] in within
-                                     and inst.edges[k][1] in within)]
-        wtot = sum(float(inst.weights[k]) for k in idx) or 1.0
-        val = {}
-        for k in idx:
-            term = poly_scale(poly_mul(edge_sat_poly(inst, k, 0),
-                                       edge_sat_poly(inst, k, 1)),
-                              float(inst.weights[k]) / wtot)
-            val = poly_add(val, term)
-        val_deg = 4
+        val = vertex_val_and_poly(inst, u, within)
     else:
         val = vertex_val_poly(inst, u, copy=copy, within=within)
-        val_deg = 2
     # verified step polynomials have degree >= ~300, so the full composition
     # (degree deg(p) * deg(val)) never fits a desk-scale moment budget; the
     # moment-side polynomial is always the flagged degree-1 surrogate, while

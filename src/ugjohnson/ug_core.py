@@ -11,8 +11,9 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Container, Optional, Sequence
 
 import numpy as np
 
@@ -63,18 +64,46 @@ class UGInstance:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    @property
+    @cached_property
     def uniform_weights(self) -> bool:
         return len(set(self.weights)) == 1
 
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        """Derived data, computed once and read-only: the (m, 3) edge array, the
+        float weights, and the incidence (start, ids, other): the edges of u, in
+        edge order, are ids[start[u]:start[u + 1]], their other ends `other`."""
+        e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 3)
+        ends = e[:, :2].ravel()                          # u0, v0, u1, v1, ...
+        order = np.argsort(ends, kind="stable")
+        start = np.zeros(self.vertex_count + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ends, minlength=self.vertex_count), out=start[1:])
+        arrays = (e, np.asarray([float(w) for w in self.weights]), start,
+                  order // 2, e[:, 1::-1].ravel()[order])
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
+
     def edge_array(self) -> np.ndarray:
-        return np.asarray(self.edges, dtype=np.int64)
+        return self._arrays[0]
 
     def weight_array(self) -> np.ndarray:
-        return np.asarray([float(w) for w in self.weights])
+        return self._arrays[1]
 
-    def incident(self, u: int) -> list[int]:
-        return [k for k, (a, b, _) in enumerate(self.edges) if u in (a, b)]
+    def scoped_edges(self, u: int, within: Optional[Container] = None
+                     ) -> list[tuple[int, float]]:
+        """The edges of u, only those with both endpoints in `within` if given, in
+        edge order, each with its weight over their total (summed left to right)."""
+        _, w, start, ids, other = self._arrays
+        lo, hi = start[u], start[u + 1]
+        ks = ids[lo:hi].tolist()
+        if within is not None:
+            if u not in within:
+                return []
+            ks = [k for k, o in zip(ks, other[lo:hi].tolist()) if o in within]
+        wk = w[ks].tolist()
+        wtot = sum(wk)
+        return [(k, x / wtot) for k, x in zip(ks, wk)]
 
 
 def from_graph(graph: JohnsonGraph, q: int, shifts: Sequence[int],
@@ -102,16 +131,6 @@ def value(inst: UGInstance, x: Assignment) -> float:
     return float(np.dot(sat.astype(float), inst.weight_array()))
 
 
-def vertex_value(inst: UGInstance, x: Assignment, u: int) -> float:
-    """Fraction (by weight) of edges incident on u that x satisfies."""
-    idx = inst.incident(u)
-    if not idx:
-        return 0.0
-    sat = satisfied_mask(inst, x)
-    w = inst.weight_array()
-    return float(np.dot(sat[idx], w[idx]) / np.sum(w[idx]))
-
-
 def value_and(inst: UGInstance, x: Assignment, xp: Assignment) -> float:
     """Fraction of edges satisfied simultaneously by x and x'."""
     sat = satisfied_mask(inst, x) & satisfied_mask(inst, xp)
@@ -120,17 +139,28 @@ def value_and(inst: UGInstance, x: Assignment, xp: Assignment) -> float:
     return float(np.dot(sat.astype(float), inst.weight_array()))
 
 
-def vertex_value_and(inst: UGInstance, x: Assignment, xp: Assignment, u: int,
-                     within: Optional[set] = None) -> float:
-    """Per-vertex both-satisfied fraction; `within` restricts to edges inside a vertex set."""
-    idx = inst.incident(u)
-    if within is not None:
-        idx = [k for k in idx if inst.edges[k][0] in within and inst.edges[k][1] in within]
-    if not idx:
-        return 0.0
-    sat = satisfied_mask(inst, x) & satisfied_mask(inst, xp)
+def edges_inside(inst: UGInstance, within: Container) -> np.ndarray:
+    """Mask over the edges with both endpoints in `within`."""
+    inside = np.zeros(inst.vertex_count, dtype=bool)
+    inside[list(within)] = True
+    e = inst.edge_array()
+    return inside[e[:, 0]] & inside[e[:, 1]]
+
+
+def vertex_values(inst: UGInstance, sat: np.ndarray,
+                  within: Optional[Container] = None) -> np.ndarray:
+    """val_u for every u: the weight of u's edges satisfied in `sat` over that of
+    all its edges, only edges inside `within` if given, 0 if none; each vertex
+    sums its edges in edge order (bincount adds in input order)."""
     w = inst.weight_array()
-    return float(np.dot(sat[idx], w[idx]) / np.sum(w[idx]))
+    if within is not None:
+        w = w * edges_inside(inst, within)
+    ends = inst.edge_array()[:, :2].ravel()
+    n = inst.vertex_count
+    num = np.bincount(ends, weights=np.repeat(w * sat, 2), minlength=n)
+    den = np.bincount(ends, weights=np.repeat(w, 2), minlength=n)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(den > 0, num / den, 0.0)
 
 
 def brute_force_opt(inst: UGInstance, budget: int = BRUTE_FORCE_BUDGET
@@ -240,7 +270,8 @@ def load(path: str) -> UGInstance:
         weights = tuple([Fraction(1, len(edges))] * len(edges))
     else:
         weights = tuple(Fraction(w).limit_denominator(10 ** 9) for w in wfloats)
-        weights = tuple(w / sum(weights) for w in weights)
+        total = sum(weights)
+        weights = tuple(w / total for w in weights)
     tag = None
     g = d.get("metadata", {}).get("graph")
     if g and g.get("kind") == "johnson":

@@ -312,7 +312,7 @@ def test_compose_val_exact_eval(setup):
     ev = compose_val(p, inst, 0)
     assert ev.exact_eval(A) >= 1 - p.nu          # vertex value 1 on satisfied
     bad = (A + np.arange(10) % 2) % 2            # break many constraints at 0
-    v0 = pot.vertex_values(inst, bad)[0]
+    v0 = ug_core.vertex_values(inst, ug_core.satisfied_mask(inst, bad))[0]
     assert ev.exact_eval(bad) == pytest.approx(float(p(v0)))
     if v0 <= p.beta:
         assert ev.exact_eval(bad) <= p.nu + 1e-9

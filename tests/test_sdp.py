@@ -137,3 +137,19 @@ def test_lost_factorisation_ends_the_solve_stalled(monkeypatch):
     assert not pe.solve_info["certified"]
     assert sos.validate(pe)["ok"]
     assert pe.solve_info["objective"] >= pe.solve_info["warm_value"] - 1e-6
+
+
+def test_singular_schur_matrix_ends_the_solve_stalled(monkeypatch):
+    inst, _ = ug_core.plant(johnson.build(4, 2, 0.5), 2, ug_core.PlantedSpec(0.5, 1))
+    rel = sos.relax(inst, 4)
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    res = solve_ipm(rel.problem)
+    assert res.status == "stalled" and res.iterations == 1
+    pe = sos.solve(rel)
+    assert pe.solve_info["method"] == "ipm"
+    assert pe.solve_info["status"] == "stalled"
+    assert not pe.solve_info["certified"]

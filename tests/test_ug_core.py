@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from ugjohnson import johnson, ug_core
 from ugjohnson.ug_core import (PlantedSpec, UGInstance, brute_force_opt, from_graph,
-                               load, plant, randomize_edges, save, value,
-                               value_and, vertex_value, vertex_value_and)
+                               load, plant, randomize_edges, satisfied_mask, save, value,
+                               value_and, vertex_values)
 
 TRIANGLE = UGInstance(3, 2, ((0, 1, 1), (1, 2, 1), (0, 2, 1)),
                       tuple([Fraction(1, 3)] * 3))
@@ -34,7 +34,7 @@ def test_value_single_flip_counts_incident_edges(j421):
     x = np.zeros(g.num_vertices, dtype=int)
     x[2] = 1
     assert value(inst, x) == pytest.approx(1 - g.degree / inst.num_edges)
-    assert vertex_value(inst, x, 2) == 0.0
+    assert vertex_values(inst, satisfied_mask(inst, x))[2] == 0.0
 
 
 def test_planted_value_equals_realized():
@@ -48,14 +48,15 @@ def test_vertex_value_double_counting(j421):
     rng = np.random.default_rng(1)
     x = rng.integers(0, 2, g.num_vertices)
     # regular graph: mean vertex value equals the global value exactly
-    mean_v = np.mean([vertex_value(inst, x, u) for u in range(g.num_vertices)])
+    mean_v = np.mean([vertex_values(inst, satisfied_mask(inst, x))[u]
+                      for u in range(g.num_vertices)])
     assert mean_v == pytest.approx(value(inst, x), abs=1e-12)
 
 
 def test_satisfied_instance_has_unit_vertex_values(j421):
     g, inst, A = j421
     for u in range(g.num_vertices):
-        assert vertex_value(inst, A, u) == 1.0
+        assert vertex_values(inst, satisfied_mask(inst, A))[u] == 1.0
 
 
 def test_value_and_examples(j421):
@@ -177,6 +178,16 @@ def test_json_roundtrip(tmp_path, j421):
     assert loaded.graph_tag is not None
     d = json.loads(path.read_text())
     assert set(d) == {"n_vertices", "q", "edges", "metadata"}
+
+
+def test_json_roundtrip_nonuniform_weights(tmp_path):
+    weights = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
+    inst = UGInstance(3, 2, TRIANGLE.edges, weights)
+    path = tmp_path / "inst.json"
+    save(inst, str(path))
+    loaded = load(str(path))
+    assert loaded.weights == inst.weights
+    assert not loaded.uniform_weights
 
 
 @given(st.integers(0, 2 ** 31 - 1), st.floats(0, 1))
