@@ -7,10 +7,9 @@ Example:
 """
 
 import argparse
-import json
 import time
 
-from ugjohnson import johnson, rounding, sos, ug_core
+from ugjohnson import johnson, rounding, ug_core
 
 
 def main():

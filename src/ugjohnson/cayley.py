@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, sqrt
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 

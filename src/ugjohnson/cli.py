@@ -190,13 +190,7 @@ def _verify_pe_file(args) -> int:
     table = {parse_monomial(k): float(v) for k, v in d["table"].items()}
     pe = sos.SolvedPE(hdr["n"], hdr["q"], hdr["degree"], table)
     rep = sos.validate(pe)
-    failed = [k for k in ("scaling_residual", "partition_residual",
-                          "booleanity_residual", "marginal_sum_residual")
-              if rep[k] > 1e-6]
-    if rep["min_eig"] is not None and rep["min_eig"] < -sos.TOL_PSD:
-        failed.append("psd")
-    if rep["marginal_min_entry"] < -1e-6:
-        failed.append("marginal_nonneg")
+    failed = rep["failed"]
     report = {"config": _args_dict(args), "validation": rep,
               "failed_invariants": failed, "ok": not failed,
               "summary": ("pseudoexpectation valid" if not failed

@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import lru_cache
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import monomials as mon
 from .monomials import (EventPoly, Monomial, ONE, ZERO, Poly, canon, mul,
                         poly_add, poly_mul, poly_scale, var)
-from .sdp import MomentSDP, SDPResult, repair_psd, solve_admm, solve_ipm
+from .sdp import MomentSDP, solve_admm, solve_ipm
 from .ug_core import UGInstance, value as ug_value
 
 TOL_PSD = 1e-7
@@ -497,19 +498,48 @@ def edge_sat_poly(inst: UGInstance, edge_idx: int, copy: int = 0) -> Poly:
 class Relaxation:
     inst: UGInstance
     D: int
-    basis: list[Monomial]
-    classes: list[Monomial]
-    class_index: dict[Monomial, int]
+    classes: tuple[Monomial, ...]
     problem: MomentSDP
 
 
-def _reduced_monomials(n: int, q: int, max_deg: int) -> list[Monomial]:
-    out = [ONE]
+@lru_cache(maxsize=16)
+def monomial_classes(n: int, q: int, max_deg: int, reduced: bool) -> tuple[Monomial, ...]:
+    """Canonical single-copy monomials of degree <= max_deg, ordered by degree,
+    then vertex set, then labels; labels run over 1..q-1 when reduced (label 0
+    eliminated), else over 0..q-1.  The first classes of degree <= d form the
+    degree-d basis."""
+    labels = range(1 if reduced else 0, q)
+    xs = [[(0, u, a) for a in labels] for u in range(n)]  # one tuple per variable
+    out: list[Monomial] = [ONE]
     for k in range(1, max_deg + 1):
         for verts in itertools.combinations(range(n), k):
-            for labels in itertools.product(range(1, q), repeat=k):
-                out.append(tuple(sorted((0, u, a) for u, a in zip(verts, labels))))
-    return out
+            out.extend(itertools.product(*(xs[u] for u in verts)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=8)
+def product_table(n: int, q: int, half_deg: int, reduced: bool) -> np.ndarray:
+    """Read-only (B, B) table of the index in monomial_classes(n, q, 2 half_deg,
+    reduced) of the product of basis monomials i and j; -1 where it is ZERO.
+    Callers pass every argument by position, so equal calls share one entry."""
+    classes = monomial_classes(n, q, 2 * half_deg, reduced)
+    index = {m: k for k, m in enumerate(classes)}
+    B = len(monomial_classes(n, q, half_deg, reduced))
+    T = np.empty((B, B), dtype=np.int64)
+    for i in range(B):
+        for j in range(i, B):
+            pm = mul(classes[i], classes[j])
+            T[i, j] = T[j, i] = -1 if pm is ZERO else index[pm]
+    T.flags.writeable = False
+    return T
+
+
+def basis_matrix(n: int, q: int, half_deg: int, reduced: bool,
+                 value: Callable[[Monomial], float]) -> np.ndarray:
+    """M[i, j] = value(b_i b_j) over the degree-half_deg basis, 0 where the
+    product annihilates; value is called once per class, in class order."""
+    vals = [value(m) for m in monomial_classes(n, q, 2 * half_deg, reduced)]
+    return np.asarray(vals + [0.0])[product_table(n, q, half_deg, reduced)]
 
 
 def _poly_to_class_vec(p: Poly, q: int, class_index: dict, n_classes: int) -> np.ndarray:
@@ -526,23 +556,19 @@ def uniform_reduced_table(classes: Sequence[Monomial], q: int) -> np.ndarray:
     return np.asarray([q ** (-mon.degree(m)) for m in classes])
 
 
-def assignment_reduced_table(classes: Sequence[Monomial], x: np.ndarray, q: int,
-                             shift_symmetric: bool = True) -> np.ndarray:
-    """Reduced moments of the (shift-orbit of the) integral assignment x."""
+def assignment_reduced_table(classes: Sequence[Monomial], x: np.ndarray, q: int) -> np.ndarray:
+    """Reduced moments of the shift orbit of the integral assignment x."""
     y = np.empty(len(classes))
     for k, m in enumerate(classes):
-        if shift_symmetric:
-            cnt = 0
-            for s in range(q):
-                if all((x[u] + s) % q == a for (_, u, a) in m):
-                    cnt += 1
-            y[k] = cnt / q
-        else:
-            y[k] = 1.0 if all(x[u] == a for (_, u, a) in m) else 0.0
+        cnt = 0
+        for s in range(q):
+            if all((x[u] + s) % q == a for (_, u, a) in m):
+                cnt += 1
+        y[k] = cnt / q
     return y
 
 
-def relax(inst: UGInstance, D: int, pair_nonneg: Optional[bool] = None) -> Relaxation:
+def relax(inst: UGInstance, D: int) -> Relaxation:
     """Assemble the degree-D moment SDP in the reduced basis.
 
     For D = 2 the relaxation adds entrywise nonnegativity of all 2-vertex
@@ -554,30 +580,23 @@ def relax(inst: UGInstance, D: int, pair_nonneg: Optional[bool] = None) -> Relax
     n, q = inst.vertex_count, inst.q
     if (n * q) ** (D // 2) > 40_000_000:
         raise ValueError("relaxation exceeds the desk budget")
-    basis = _reduced_monomials(n, q, D // 2)
-    classes = _reduced_monomials(n, q, D)
+    classes = monomial_classes(n, q, D, True)
     class_index = {m: k for k, m in enumerate(classes)}
-    B = len(basis)
-    ei, ej, ek = [], [], []
-    ci, cj = [], []
-    for i in range(B):
-        for j in range(i, B):
-            pm = mul(basis[i], basis[j])
-            if pm is ZERO:
-                continue
-            k = class_index[pm]
-            targets = [(i, j)] if i == j else [(i, j), (j, i)]
-            for (a, b) in targets:
-                if k == 0:
-                    ci.append(a), cj.append(b)
-                else:
-                    ei.append(a), ej.append(b), ek.append(k)
+    T = product_table(n, q, D // 2, True)
+    B = len(T)
+    # basis pairs i <= j in row order, each off-diagonal one as (i, j) then (j, i)
+    iu, ju = np.triu_indices(B)
+    k = T[iu, ju]
+    iu, ju, k = iu[k >= 0], ju[k >= 0], k[k >= 0]
+    keep = np.column_stack([np.ones(len(k), dtype=bool), iu != ju]).ravel()
+    ei = np.column_stack([iu, ju]).ravel()[keep].astype(np.int64)
+    ej = np.column_stack([ju, iu]).ravel()[keep].astype(np.int64)
+    ek = np.repeat(k, 2)[keep]
+    const = ek == 0
     cvec = _poly_to_class_vec(val_poly(inst), q, class_index, len(classes))
 
     G = g0 = None
-    if pair_nonneg is None:
-        pair_nonneg = D == 2
-    if pair_nonneg:
+    if D == 2:
         rows, consts = [], []
         for (u, v) in itertools.combinations(range(n), 2):
             for a in range(q):
@@ -589,13 +608,10 @@ def relax(inst: UGInstance, D: int, pair_nonneg: Optional[bool] = None) -> Relax
         G, g0 = np.asarray(rows), np.asarray(consts)
 
     prob = MomentSDP(side=B, n_classes=len(classes),
-                     entry_i=np.asarray(ei, dtype=np.int64),
-                     entry_j=np.asarray(ej, dtype=np.int64),
-                     entry_k=np.asarray(ek, dtype=np.int64),
-                     const_entries=(np.asarray(ci, dtype=np.int64),
-                                    np.asarray(cj, dtype=np.int64)),
+                     entry_i=ei[~const], entry_j=ej[~const], entry_k=ek[~const],
+                     const_entries=(ei[const], ej[const]),
                      c=cvec, uniform_y=uniform_reduced_table(classes, q), G=G, g0=g0)
-    return Relaxation(inst, D, basis, classes, class_index, prob)
+    return Relaxation(inst, D, classes, prob)
 
 
 def _local_search(inst: UGInstance, seed: int, restarts: int = 4,
@@ -701,50 +717,34 @@ def moment_matrix(pe: PseudoExpectation, half_degree: Optional[int] = None,
                   side_cap: int = 1800) -> tuple[np.ndarray, list[Monomial]]:
     """Full moment matrix over canonical monomials (all labels) of degree <= D/2."""
     d = half_degree if half_degree is not None else min(pe.degree // 2, 2)
-    basis: list[Monomial] = [ONE]
-    for k in range(1, d + 1):
-        for verts in itertools.combinations(range(pe.n_vertices), k):
-            for labels in itertools.product(range(pe.q), repeat=k):
-                basis.append(tuple(sorted((0, u, a) for u, a in zip(verts, labels))))
+    basis = monomial_classes(pe.n_vertices, pe.q, d, False)
     if len(basis) > side_cap:
         raise ValueError(f"moment matrix side {len(basis)} exceeds cap {side_cap}")
-    B = len(basis)
-    M = np.empty((B, B))
-    for i in range(B):
-        for j in range(i, B):
-            pm = mul(basis[i], basis[j])
-            M[i, j] = M[j, i] = 0.0 if pm is ZERO else pe.moment(pm)
-    return M, basis
+    return basis_matrix(pe.n_vertices, pe.q, d, False, pe.moment), list(basis)
 
 
 def validate(pe: PseudoExpectation, side_cap: int = 1800, seed: int = 0,
              marginal_pairs: int = 40) -> dict:
-    """Scaling, PSD, partition/Booleanity residuals, and marginal sanity."""
+    """Scaling, PSD, partition/Booleanity residuals, and marginal sanity.
+
+    rep["failed"] names the invariants that do not hold; rep["ok"] is true
+    when it is empty."""
     rng = np.random.default_rng(seed)
     rep: dict = {"mode": pe.mode, "degree": pe.degree}
     rep["scaling_residual"] = abs(pe.moment(ONE) - 1.0)
     target = pe if pe.mode == "single" else pe.marginal_pe(0)  # type: ignore
+    M = None
     try:
-        M, basis = moment_matrix(target, side_cap=side_cap)
-        rep["min_eig"] = float(np.linalg.eigvalsh((M + M.T) / 2).min())
-        rep["moment_matrix_side"] = len(basis)
+        M = moment_matrix(target, side_cap=side_cap)[0]
     except ValueError:
         # full-label matrix too large; the reduced-basis matrix is a congruent
         # restriction whose PSD-ness implies PSD-ness of the full matrix
         if isinstance(target, SolvedPE):
-            red = _reduced_monomials(target.n_vertices, target.q, target.degree // 2)
-            B = len(red)
-            M = np.empty((B, B))
-            for i in range(B):
-                for j in range(i, B):
-                    pm = mul(red[i], red[j])
-                    M[i, j] = M[j, i] = 0.0 if pm is ZERO else target.table[pm]
-            rep["min_eig"] = float(np.linalg.eigvalsh(M).min())
-            rep["moment_matrix_side"] = B
+            M = basis_matrix(target.n_vertices, target.q, target.degree // 2, True,
+                             target.table.__getitem__)
             rep["moment_matrix_basis"] = "reduced"
-        else:
-            rep["min_eig"] = None
-            rep["moment_matrix_side"] = None
+    rep["min_eig"] = None if M is None else float(np.linalg.eigvalsh(M).min())
+    rep["moment_matrix_side"] = None if M is None else len(M)
     part = 0.0
     boolres = 0.0
     n, q = pe.n_vertices, pe.q
@@ -777,10 +777,14 @@ def validate(pe: PseudoExpectation, side_cap: int = 1800, seed: int = 0,
             worst_sum = max(worst_sum, abs(float(Mm.sum()) - 1.0))
     rep["marginal_min_entry"] = worst_neg
     rep["marginal_sum_residual"] = worst_sum
-    rep["ok"] = (rep["scaling_residual"] <= 1e-6
-                 and (rep["min_eig"] is None or rep["min_eig"] >= -TOL_PSD)
-                 and part <= 1e-6 and boolres <= 1e-6
-                 and worst_neg >= -1e-6 and worst_sum <= 1e-6)
+    holds = {"scaling_residual": rep["scaling_residual"] <= 1e-6,
+             "partition_residual": part <= 1e-6,
+             "booleanity_residual": boolres <= 1e-6,
+             "marginal_sum_residual": worst_sum <= 1e-6,
+             "psd": rep["min_eig"] is None or rep["min_eig"] >= -TOL_PSD,
+             "marginal_nonneg": worst_neg >= -1e-6}
+    rep["failed"] = [name for name, ok in holds.items() if not ok]
+    rep["ok"] = not rep["failed"]
     return rep
 
 

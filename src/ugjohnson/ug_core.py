@@ -131,14 +131,6 @@ def value(inst: UGInstance, x: Assignment) -> float:
     return float(np.dot(sat.astype(float), inst.weight_array()))
 
 
-def value_and(inst: UGInstance, x: Assignment, xp: Assignment) -> float:
-    """Fraction of edges satisfied simultaneously by x and x'."""
-    sat = satisfied_mask(inst, x) & satisfied_mask(inst, xp)
-    if inst.uniform_weights:
-        return int(np.count_nonzero(sat)) / inst.num_edges
-    return float(np.dot(sat.astype(float), inst.weight_array()))
-
-
 def edges_inside(inst: UGInstance, within: Container) -> np.ndarray:
     """Mask over the edges with both endpoints in `within`."""
     inside = np.zeros(inst.vertex_count, dtype=bool)

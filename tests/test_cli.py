@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import ugjohnson
+from ugjohnson import sos
 from ugjohnson.cli import main
+from ugjohnson.monomials import parse_monomial
 
 
 def test_generate_solve_round(tmp_path):
@@ -75,6 +77,10 @@ def test_verify_pe_fault_injection(tmp_path):
                  "--report", str(rep)]) == 1
     report = json.loads(rep.read_text())
     assert report["failed_invariants"]
+    table = {parse_monomial(k): v for k, v in d["table"].items()}
+    h = d["header"]
+    assert report["failed_invariants"] == sos.validate(
+        sos.SolvedPE(h["n"], h["q"], h["degree"], table))["failed"]
 
 
 def test_config_file_overrides(tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from ugjohnson import johnson, ug_core
 from ugjohnson.ug_core import (PlantedSpec, UGInstance, brute_force_opt, from_graph,
                                load, plant, randomize_edges, satisfied_mask, save, value,
-                               value_and, vertex_values)
+                               vertex_values)
 
 TRIANGLE = UGInstance(3, 2, ((0, 1, 1), (1, 2, 1), (0, 2, 1)),
                       tuple([Fraction(1, 3)] * 3))
@@ -57,20 +57,6 @@ def test_satisfied_instance_has_unit_vertex_values(j421):
     g, inst, A = j421
     for u in range(g.num_vertices):
         assert vertex_values(inst, satisfied_mask(inst, A))[u] == 1.0
-
-
-def test_value_and_examples(j421):
-    g, inst, A = j421
-    rng = np.random.default_rng(2)
-    x = rng.integers(0, 2, g.num_vertices)
-    assert value_and(inst, x, x) == pytest.approx(value(inst, x))
-    # global shift leaves simultaneous satisfaction unchanged
-    assert value_and(inst, x, (x + 1) % 2) == pytest.approx(value(inst, x))
-    xp = rng.integers(0, 2, g.num_vertices)
-    both = sum(1 for k, (u, v, b) in enumerate(inst.edges)
-               if (x[u] - x[v] - b) % 2 == 0 and (xp[u] - xp[v] - b) % 2 == 0)
-    assert value_and(inst, x, xp) == pytest.approx(both / inst.num_edges)
-    assert value_and(inst, x, xp) <= min(value(inst, x), value(inst, xp)) + 1e-12
 
 
 def test_shift_invariance_exact(j421):
