@@ -113,7 +113,6 @@ def cmd_round(args) -> int:
     if args.admm_iters:
         cfg.admm_iters = args.admm_iters
     witness = None
-    planted = inst.metadata.get("planted")
     t0 = time.time()
     x, trace = rounding.main_algorithm(inst, cfg, witness=witness)
     runtime = time.time() - t0

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import comb, sqrt
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -73,9 +73,6 @@ class JohnsonGraph:
 
     def vertex_index(self, subset: Sequence[int]) -> int:
         return colex_rank(sorted(subset))
-
-    def vertices(self) -> Iterator[int]:
-        return iter(range(self.num_vertices))
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         return self._edges
@@ -150,9 +147,6 @@ class Subcube:
         for extra in itertools.combinations(rest, g.ell - len(self.a)):
             ids.append(colex_rank(sorted(self.a + extra)))
         return sorted(ids)
-
-    def contains(self, v: int) -> bool:
-        return set(self.a) <= set(self.graph.vertex_subset(v))
 
 
 def subcube(g: JohnsonGraph, a: Sequence[int]) -> Subcube:

@@ -16,11 +16,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import monomials as mon
 from .johnson import JohnsonGraph, Subcube
 from .monomials import ONE, Poly, mul, poly_add, poly_mul, poly_scale, var
-from .sos import (DegreeExhausted, DistributionPE, ProductPE, PseudoExpectation,
-                  ShiftSymmetrizedPE, clamp_distribution, vertex_val_poly, z_poly)
+from .sos import (DegreeExhausted, ProductPE, PseudoExpectation, clamp_distribution,
+                  vertex_val_poly, z_poly)
 from .steppoly import StepPoly, linear_surrogate
 from .ug_core import UGInstance, satisfied_mask, vertex_values
 
@@ -271,45 +270,9 @@ class ShiftPartitionSpec:
         return lambda v: np.clip(f(v), 0.0, 1.0)
 
 
-def support_pairs(prod: ProductPE) -> Optional[list[tuple[float, np.ndarray, np.ndarray]]]:
-    """Explicit (weight, x, x') support of a product of distribution-backed
-    pseudoexpectations (through shift-symmetrization wrappers), or None."""
-
-    def expand(pe) -> Optional[list[tuple[float, np.ndarray]]]:
-        if isinstance(pe, DistributionPE):
-            return [(p, x) for p, x in pe.support]
-        if isinstance(pe, ShiftSymmetrizedPE):
-            inner = expand(pe.base)
-            if inner is None:
-                return None
-            q = pe.q
-            return [(p / q, (x + s) % q) for p, x in inner for s in range(q)]
-        return None
-
-    s1 = expand(prod.pe1)
-    s2 = expand(prod.pe2)
-    if s1 is None or s2 is None:
-        return None
-    out = []
-    for p1, x1 in s1:
-        for p2, x2 in s2:
-            w = p1 * p2
-            if prod.events:
-                for e in prod.events:
-                    w *= mon.evaluate(e.poly, x1, x2)
-            if w < -1e-9:
-                raise ValueError("conditioning event is negative on the support")
-            if w > 0.0:
-                out.append((w, x1, x2))
-    tot = sum(w for w, _, _ in out)
-    if tot <= 0:
-        return None
-    return [(w / tot, x1, x2) for w, x1, x2 in out]
-
-
 def shift_fn_eval(spec: ShiftPartitionSpec, prod: ProductPE, u: int, s: int) -> float:
     """pE-moment of F_s(u) (or G_s(u) in plain mode)."""
-    pairs = support_pairs(prod)
+    pairs = prod.exact_support()
     if pairs is not None:
         p = spec.p_callable()
         acc = 0.0
@@ -342,7 +305,7 @@ def phi_potential(spec: ShiftPartitionSpec, prod: ProductPE) -> dict:
     ('support' exact, or 'plain' G_s moments at limited degree).
     """
     verts = spec.scope_vertices()
-    pairs = support_pairs(prod)
+    pairs = prod.exact_support()
     if pairs is not None:
         p = spec.p_callable()
         acc = 0.0
@@ -429,9 +392,6 @@ class LocalDistributionCollection:
     flags: dict = field(default_factory=dict)
     clamp_policy: float = 1e-8
 
-    def slot_size(self, slot: Slot) -> int:
-        return self.prod.q if slot[0] in ("X", "Xp") else 2
-
     def joint(self, slots: tuple[Slot, ...]) -> np.ndarray:
         key = tuple(slots)
         if key in self.joints:
@@ -453,76 +413,81 @@ def _slot_factor_poly(spec: ShiftPartitionSpec, slot: Slot, value: int) -> Poly:
     return poly_add({ONE: 1.0}, poly_scale(base, -1.0))
 
 
-def _build_joint(prod: ProductPE, spec: ShiftPartitionSpec, slots: tuple[Slot, ...],
-                 clamp_policy: float) -> tuple[np.ndarray, str]:
-    q = prod.q
-    sizes = tuple(q if k in ("X", "Xp") else 2 for k, _ in slots)
-    pairs = support_pairs(prod)
-    if pairs is not None:
-        p = spec.p_callable()
-        arr = np.zeros(sizes)
-        for w, x, xp in pairs:
-            vx = vertex_values(spec.inst, satisfied_mask(spec.inst, x), within=spec.val_within)
-            vxp = vertex_values(spec.inst, satisfied_mask(spec.inst, xp), within=spec.val_within)
-            arr_idx: list = []
-            bern: list[float] = []  # success probabilities of the p-slots in order
-            for (kind, u) in slots:
-                if kind == "X":
-                    arr_idx.append(int(x[u]))
-                elif kind == "Xp":
-                    arr_idx.append(int(xp[u]))
-                else:
-                    pv = float(p(vx[u] if kind == "p" else vxp[u]))
-                    bern.append(min(max(pv, 0.0), 1.0))
-                    arr_idx.append(slice(None))
-            sub = np.ones(tuple([2] * len(bern)))
-            for kpos, pv in enumerate(bern):
-                shape = [1] * len(bern)
-                shape[kpos] = 2
-                sub = sub * np.asarray([1.0 - pv, pv]).reshape(shape)
-            arr[tuple(arr_idx)] += w * sub
-        return arr, "support"
+def _bernoulli_block(bern: Sequence[float]) -> np.ndarray:
+    """Product of independent Bernoulli(pv) axes, one per p-slot in order."""
+    sub = np.ones(tuple([2] * len(bern)))
+    for kpos, pv in enumerate(bern):
+        shape = [1] * len(bern)
+        shape[kpos] = 2
+        sub = sub * np.asarray([1.0 - pv, pv]).reshape(shape)
+    return sub
 
-    # moment path: X-slots exact when the degrees fit; p-slots are Bernoulli
-    # factors with the clipped conditional mean of the surrogate given the
-    # X-cell (the clip belongs to the surrogate's pointwise semantics, so it
-    # cannot be pushed through the expectation; flagged as a truncation)
+
+def _support_cells(spec: ShiftPartitionSpec, slots: tuple[Slot, ...], pairs: list):
+    """(X-cell, mass, p-values) of each support pair: the pair's labels on the
+    X-slots and the clipped step values of its vertex values on the p-slots."""
+    p = spec.p_callable()
+    for w, x, xp in pairs:
+        vx = vertex_values(spec.inst, satisfied_mask(spec.inst, x), within=spec.val_within)
+        vxp = vertex_values(spec.inst, satisfied_mask(spec.inst, xp), within=spec.val_within)
+        cell = [int(x[u] if kind == "X" else xp[u]) for kind, u in slots
+                if kind in ("X", "Xp")]
+        bern = [min(max(float(p(vx[u] if kind == "p" else vxp[u])), 0.0), 1.0)
+                for kind, u in slots if kind in ("p", "pp")]
+        yield cell, w, bern
+
+
+def _moment_cells(prod: ProductPE, spec: ShiftPartitionSpec, slots: tuple[Slot, ...]):
+    """(X-cell, mass, p-values) of every X-cell from moments: the cell's pE
+    mass, and for each p-slot the clipped conditional mean of the surrogate
+    given the cell (the clip belongs to the surrogate's pointwise semantics, so
+    it cannot be pushed through the expectation; flagged as a truncation)."""
     x_slots = tuple(s for s in slots if s[0] in ("X", "Xp"))
     p_slots = tuple(s for s in slots if s[0] in ("p", "pp"))
-    need0 = sum(1 for k, _ in x_slots if k == "X") + \
-        (2 if any(k == "p" for k, _ in p_slots) else 0)
-    need1 = sum(1 for k, _ in x_slots if k == "Xp") + \
-        (2 if any(k == "pp" for k, _ in p_slots) else 0)
-    if need0 <= prod.side_degree(0) and need1 <= prod.side_degree(1):
-        arr = np.zeros(sizes)
-        x_axes = [i for i, s in enumerate(slots) if s[0] in ("X", "Xp")]
-        p_axes = [i for i, s in enumerate(slots) if s[0] in ("p", "pp")]
-        for x_cell in itertools.product(*[range(prod.q) for _ in x_slots]):
-            m: Poly = {ONE: 1.0}
-            for slot, value in zip(x_slots, x_cell):
-                m = poly_mul(m, _slot_factor_poly(spec, slot, value))
-            base = prod.pE(m)
-            bern = []
-            for slot in p_slots:
-                if base <= 1e-12:
-                    bern.append(0.0)
-                    continue
-                pv = prod.pE(poly_mul(m, _slot_factor_poly(spec, slot, 1))) / base
-                bern.append(min(max(pv, 0.0), 1.0))
-            idx: list = [slice(None)] * len(slots)
-            for ax, v in zip(x_axes, x_cell):
-                idx[ax] = v
-            if p_slots:
-                # sub's axes follow p_axes, which is already the slot order
-                sub = np.ones(tuple([2] * len(p_slots)))
-                for kpos, pv in enumerate(bern):
-                    shape = [1] * len(p_slots)
-                    shape[kpos] = 2
-                    sub = sub * np.asarray([1.0 - pv, pv]).reshape(shape)
-                arr[tuple(idx)] = base * sub
-            else:
-                arr[tuple(idx)] = base
-        flag = "moments" if not p_slots else "moments_surrogate"
+    for x_cell in itertools.product(*[range(prod.q) for _ in x_slots]):
+        m: Poly = {ONE: 1.0}
+        for slot, value in zip(x_slots, x_cell):
+            m = poly_mul(m, _slot_factor_poly(spec, slot, value))
+        base = prod.pE(m)
+        bern = []
+        for slot in p_slots:
+            if base <= 1e-12:
+                bern.append(0.0)
+                continue
+            pv = prod.pE(poly_mul(m, _slot_factor_poly(spec, slot, 1))) / base
+            bern.append(min(max(pv, 0.0), 1.0))
+        yield x_cell, base, bern
+
+
+def _accumulate(slots: tuple[Slot, ...], sizes: tuple[int, ...], cells) -> np.ndarray:
+    """Sum each cell's mass times its Bernoulli block into the joint array;
+    the block's axes are the p-slots', already in slot order."""
+    x_axes = [i for i, s in enumerate(slots) if s[0] in ("X", "Xp")]
+    arr = np.zeros(sizes)
+    for x_cell, mass, bern in cells:
+        idx: list = [slice(None)] * len(slots)
+        for ax, v in zip(x_axes, x_cell):
+            idx[ax] = v
+        arr[tuple(idx)] += mass * _bernoulli_block(bern)
+    return arr
+
+
+def _build_joint(prod: ProductPE, spec: ShiftPartitionSpec, slots: tuple[Slot, ...],
+                 clamp_policy: float) -> tuple[np.ndarray, str]:
+    sizes = tuple(prod.q if k in ("X", "Xp") else 2 for k, _ in slots)
+    # the moment path needs the X-slots, and two degrees per side for the
+    # surrogate of any p-slot on that side, within the side budgets
+    need0 = sum(1 for k, _ in slots if k == "X") + \
+        (2 if any(k == "p" for k, _ in slots) else 0)
+    need1 = sum(1 for k, _ in slots if k == "Xp") + \
+        (2 if any(k == "pp" for k, _ in slots) else 0)
+    pairs = prod.exact_support()
+    if pairs is not None:
+        arr = _accumulate(slots, sizes, _support_cells(spec, slots, pairs))
+        flag = "support"
+    elif need0 <= prod.side_degree(0) and need1 <= prod.side_degree(1):
+        arr = _accumulate(slots, sizes, _moment_cells(prod, spec, slots))
+        flag = "moments" if all(k in ("X", "Xp") for k, _ in slots) else "moments_surrogate"
     else:
         # factorized fallback: split by copy when possible, else halve the
         # group; flagged so callers can report the truncation

@@ -24,7 +24,7 @@ from . import sos
 from .johnson import Subcube
 from .monomials import EventPoly, ONE, Poly, mul, poly_add, poly_mul, var
 from .potentials import (LocalDistributionCollection, ShiftPartitionSpec,
-                         pairwise_mi, support_pairs, tv_distance, y_slots)
+                         pairwise_mi, tv_distance, y_slots)
 from .sos import (DegreeExhausted, NearZeroEvent, ProductPE, PseudoExpectation,
                   condition, product, shift_symmetrize, z_poly)
 from .ug_core import (UGInstance, edges_inside, randomize_edges, satisfied_mask,
@@ -195,14 +195,6 @@ def both_sat_density_poly(inst: UGInstance, sub_ids: Sequence[int], s: int) -> P
     return out
 
 
-def _pe_of_poly(prod: ProductPE, p: Poly) -> float:
-    pairs = support_pairs(prod)
-    if pairs is not None:
-        from .monomials import evaluate
-        return sum(w * evaluate(p, x, xp) for w, x, xp in pairs)
-    return prod.pE(p)
-
-
 def find_event_subcube(inst: UGInstance, prod: ProductPE, cfg: RoundingConfig
                        ) -> tuple[tuple, int, EventPoly, dict]:
     """Enumerate restrictions |a| <= r and shifts s; score each candidate event
@@ -253,13 +245,13 @@ def find_event_subcube(inst: UGInstance, prod: ProductPE, cfg: RoundingConfig
                         for b in itertools.combinations(a, jj):
                             bids = (Subcube(g, b).vertex_ids() if jj > 0
                                     else list(range(g.num_vertices)))
-                            if _pe_of_poly(prod, density_poly(inst, bids, s)) >= eps_sched[jj]:
+                            if prod.pE(density_poly(inst, bids, s)) >= eps_sched[jj]:
                                 maximal = False
                                 break
                         if not maximal:
                             break
-                score = _pe_of_poly(prod, score_poly) if maximal else -np.inf
-                p_event = _pe_of_poly(prod, event_poly)
+                score = prod.pE(score_poly) if maximal else -np.inf
+                p_event = prod.pE(event_poly)
                 rows.append({"a": list(a), "s": s, "score": score, "p_event": p_event,
                              "floor": floor, "maximal": maximal, "event": event_kind})
                 key = (-np.round(score, 12), j, a, s)
@@ -304,7 +296,7 @@ def rt_reduce(pe: PseudoExpectation, inst: UGInstance, S: Sequence[int],
                               mode="surrogate" if cfg.include_p_slots else "plain",
                               val_within=frozenset(S))
     mu = [pe, pe]
-    p0 = _pe_of_poly(ProductPE(mu[0], mu[1]), E.poly)
+    p0 = ProductPE(mu[0], mu[1]).pE(E.poly)
     if p0 < p_floor * (1 - 1e-9) - 1e-12:
         raise NearZeroEvent(f"pE[E] = {p0} below the floor {p_floor}")
     chosen: list[dict] = []
@@ -356,7 +348,7 @@ def rt_reduce(pe: PseudoExpectation, inst: UGInstance, S: Sequence[int],
                     continue
                 mu_try = list(mu)
                 mu_try[side] = cand
-                p_now = _pe_of_poly(ProductPE(mu_try[0], mu_try[1]), E.poly)
+                p_now = ProductPE(mu_try[0], mu_try[1]).pE(E.poly)
                 if p_now < p_floor / 2:
                     continue
                 prod_try = ProductPE(mu_try[0], mu_try[1])
@@ -375,7 +367,7 @@ def rt_reduce(pe: PseudoExpectation, inst: UGInstance, S: Sequence[int],
         if not accepted:
             budget_hit = max(mis) > cfg.tau
             break
-    p_final = _pe_of_poly(ProductPE(mu[0], mu[1]), E.poly)
+    p_final = ProductPE(mu[0], mu[1]).pE(E.poly)
     record = {"tuples": chosen, "mi_x": mis[0], "mi_xp": mis[1],
               "p_event_before": p0, "p_event_after": p_final,
               "p_floor": p_floor, "floor_kept": p_final >= p_floor / 2 - 1e-12,
@@ -400,7 +392,7 @@ def tv_conditioning_check(prod: ProductPE, E: EventPoly, S: Sequence[int],
     cond = prod.condition(E)
     base_coll = LocalDistributionCollection(prod, spec, arity=8)
     cond_coll = LocalDistributionCollection(cond, spec, arity=8)
-    p_bar = _pe_of_poly(prod, E.poly)
+    p_bar = prod.pE(E.poly)
     pairs = list(itertools.combinations(S, 2))
     rng = np.random.default_rng(cfg.seed + 2)
     if len(pairs) > cfg.tv_pair_budget:
@@ -463,7 +455,7 @@ def subround(inst: UGInstance, pe: PseudoExpectation, a: Optional[tuple],
     # floor is recorded separately in the search diagnostics)
     p_measured = diag["chosen"].get("p_event", None)
     if p_measured is None:
-        p_measured = _pe_of_poly(prod0, P.poly)
+        p_measured = prod0.pE(P.poly)
     p_floor = max(float(p_measured) * (1 - 1e-9), sos.FLOOR_COND)
 
     mu1, mu2, rt_rec = rt_reduce(pe_sym, inst, S, P, cfg, p_floor)

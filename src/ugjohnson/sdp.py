@@ -183,8 +183,7 @@ def _schur(plan: _SchurPlan, Sinv: np.ndarray, X: np.ndarray,
     return (H + H.T) / 2
 
 
-def solve_ipm(prob: MomentSDP, tol: float = 1e-8, max_iter: int = 80,
-              verbose: bool = False) -> SDPResult:
+def solve_ipm(prob: MomentSDP, tol: float = 1e-8, max_iter: int = 80) -> SDPResult:
     """HKM primal-dual interior-point method on the LMI (dual) form.
 
     maximize c[1:] . z  s.t.  S(z) = E0 + sum z_k E_k >= 0,  t(z) = g0 + G z >= 0.
@@ -228,8 +227,6 @@ def solve_ipm(prob: MomentSDP, tol: float = 1e-8, max_iter: int = 80,
         mu = gap / (B + p)
         r_p = -b - op_A(X, w)
         obj = float(b @ z + prob.c[0])
-        if verbose:
-            print(f"  ipm it={it} obj={obj:.9f} gap={gap:.2e} feas={np.abs(r_p).max():.2e}")
         if gap <= tol * (1 + abs(obj)) and np.abs(r_p).max() <= tol * 10:
             status = "optimal"
             break
@@ -289,8 +286,7 @@ def solve_ipm(prob: MomentSDP, tol: float = 1e-8, max_iter: int = 80,
 
 
 def solve_admm(prob: MomentSDP, max_iter: int = 400, rho: float = 1.0,
-               warm_y: Optional[np.ndarray] = None, tol: float = 1e-7,
-               verbose: bool = False) -> SDPResult:
+               warm_y: Optional[np.ndarray] = None, tol: float = 1e-7) -> SDPResult:
     """Budgeted ADMM on  max c.y  s.t. M(y) = Z, Z >= 0 (PSD), y[0] = 1.
 
     The y-update is separable per monomial class because classes partition the
@@ -324,8 +320,6 @@ def solve_admm(prob: MomentSDP, max_iter: int = 400, rho: float = 1.0,
         d_res = float(np.linalg.norm(Z_new - Z) * rho / max(1.0, np.linalg.norm(U) * rho))
         Z = Z_new
         y = y_new
-        if verbose and it % 25 == 0:
-            print(f"  admm it={it} obj={float(prob.c @ y):.6f} r={r_prim:.2e} s={d_res:.2e}")
         if r_prim < tol and d_res < tol:
             break
         if it % 50 == 0:  # deterministic residual balancing

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -84,10 +84,14 @@ class PseudoExpectation:
     def pE(self, p: Poly) -> float:
         return sum(c * self.moment(m) for m, c in p.items() if m is not ZERO and c != 0.0)
 
-    # convenience views -----------------------------------------------------
+    def exact_support(self) -> Optional[list[tuple]]:
+        """The weighted support of a distribution-backed pseudoexpectation:
+        (weight, x) pairs, or (weight, x, x') triples in product mode; None
+        when only moments are known.  Step-polynomial and clipped quantities
+        are exact only on this support."""
+        return None
 
-    def marginal(self, u: int, copy: int = 0) -> np.ndarray:
-        return np.asarray([self.moment(var(u, a, copy)) for a in range(self.q)])
+    # convenience views -----------------------------------------------------
 
     def pair_marginal(self, u: int, v: int, cu: int = 0, cv: int = 0) -> np.ndarray:
         out = np.empty((self.q, self.q))
@@ -97,12 +101,7 @@ class PseudoExpectation:
         return out
 
     def value(self, inst: UGInstance, copy: int = 0) -> float:
-        tot = 0.0
-        for (u, v, b), w in zip(inst.edges, inst.weight_array().tolist()):
-            for a in range(inst.q):
-                tot += w * self.moment(
-                    mul(var(u, (a + b) % inst.q, copy), var(v, a, copy)))
-        return tot
+        return self.pE(val_poly(inst, copy))
 
 
 def val_poly(inst: UGInstance, copy: int = 0) -> Poly:
@@ -157,6 +156,9 @@ class DistributionPE(PseudoExpectation):
     def degree(self) -> int:
         return self._degree
 
+    def exact_support(self) -> list[tuple[float, np.ndarray]]:
+        return self.support
+
     def moment(self, m: Monomial) -> float:
         if m is ZERO:
             return 0.0
@@ -172,30 +174,17 @@ def from_assignment(x: np.ndarray, q: int, degree: int = DIST_DEGREE) -> Distrib
     return DistributionPE([(1.0, np.asarray(x))], q, degree)
 
 
-def mixture(parts: Sequence[tuple[PseudoExpectation, float]]) -> PseudoExpectation:
+def mixture(parts: Sequence[tuple[DistributionPE, float]]) -> DistributionPE:
+    """The weighted mixture of distributions, as one distribution."""
+    if not all(isinstance(pe, DistributionPE) for pe, _ in parts):
+        raise TypeError("mixture parts must be DistributionPE")
     ws = [w for _, w in parts]
     if any(w < -1e-15 for w in ws) or abs(sum(ws) - 1.0) > 1e-12:
         raise ValueError("mixture weights must be nonnegative and sum to 1")
-    if all(isinstance(pe, DistributionPE) for pe, _ in parts):
-        support = []
-        for pe, w in parts:
-            support.extend((w * p, x) for p, x in pe.support)
-        return DistributionPE(support, parts[0][0].q, min(pe.degree for pe, _ in parts))
-    return MixturePE(parts)
-
-
-class MixturePE(PseudoExpectation):
-    def __init__(self, parts: Sequence[tuple[PseudoExpectation, float]]):
-        self.parts = list(parts)
-        pe0 = parts[0][0]
-        self.q, self.n_vertices, self.mode = pe0.q, pe0.n_vertices, pe0.mode
-
-    @property
-    def degree(self) -> int:
-        return min(pe.degree for pe, _ in self.parts)
-
-    def moment(self, m: Monomial) -> float:
-        return sum(w * pe.moment(m) for pe, w in self.parts)
+    support = []
+    for pe, w in parts:
+        support.extend((w * p, x) for p, x in pe.support)
+    return DistributionPE(support, parts[0][0].q, min(pe.degree for pe, _ in parts))
 
 
 class SolvedPE(PseudoExpectation):
@@ -277,22 +266,27 @@ class ConditionedPE(PseudoExpectation):
         return out
 
 
+def _check_provenance(pe: PseudoExpectation, event: EventPoly) -> None:
+    """The one rule for both conditioning entry points: a general table may be
+    reweighted only by a [0,1]-provenance event; a surrogate event also by a
+    distribution-backed pseudoexpectation, whose exact support is reweighted."""
+    if event.provenance != "zero_one_product" and pe.exact_support() is None:
+        raise ValidityError("conditioning requires a [0,1]-provenance event")
+
+
 def condition(pe: PseudoExpectation, event: EventPoly,
               floor: float = FLOOR_COND) -> PseudoExpectation:
     """Reweighting by a [0,1]-provenance event; the SoS analogue of conditioning."""
-    if event.provenance != "zero_one_product" and not isinstance(pe, DistributionPE):
-        raise ValidityError("conditioning requires a [0,1]-provenance event")
     if pe.mode == "product":
         return pe.condition(event, floor=floor)  # type: ignore[attr-defined]
+    _check_provenance(pe, event)
     return ConditionedPE(pe, event, floor=floor)
 
 
 class ShiftSymmetrizedPE(PseudoExpectation):
-    """Average of the base moments over global label shifts; idempotent."""
+    """Average of the base moments over global label shifts."""
 
     def __init__(self, base: PseudoExpectation):
-        if isinstance(base, ShiftSymmetrizedPE):
-            base = base.base
         self.base = base
         self.q, self.n_vertices, self.mode = base.q, base.n_vertices, base.mode
         self._cache: dict[Monomial, float] = {}
@@ -303,6 +297,18 @@ class ShiftSymmetrizedPE(PseudoExpectation):
 
     def side_degree(self, copy: int) -> int:
         return self.base.side_degree(copy)
+
+    def exact_support(self) -> Optional[list[tuple]]:
+        return self._orbit
+
+    @cached_property
+    def _orbit(self) -> Optional[list[tuple]]:
+        """The base support shifted by every label s, each copy at weight 1/q."""
+        inner = self.base.exact_support()
+        if inner is None:
+            return None
+        q = self.q
+        return [(p / q, (x + s) % q) for p, x in inner for s in range(q)]
 
     def moment(self, m: Monomial) -> float:
         if m is ZERO:
@@ -321,7 +327,8 @@ class ShiftSymmetrizedPE(PseudoExpectation):
 
 
 def shift_symmetrize(pe: PseudoExpectation) -> ShiftSymmetrizedPE:
-    return ShiftSymmetrizedPE(pe)
+    """Idempotent: an already symmetrised pe is returned as it is, cache included."""
+    return pe if isinstance(pe, ShiftSymmetrizedPE) else ShiftSymmetrizedPE(pe)
 
 
 class ProductPE(PseudoExpectation):
@@ -359,6 +366,31 @@ class ProductPE(PseudoExpectation):
     def side_degree(self, copy: int) -> int:
         return self._side_degree[copy]
 
+    def exact_support(self) -> Optional[list[tuple[float, np.ndarray, np.ndarray]]]:
+        return self._pairs
+
+    @cached_property
+    def _pairs(self) -> Optional[list[tuple[float, np.ndarray, np.ndarray]]]:
+        """(weight, x, x') over both factors' supports, reweighted by the events
+        and renormalised; a ValueError if an event is negative on the support."""
+        s1, s2 = self.pe1.exact_support(), self.pe2.exact_support()
+        if s1 is None or s2 is None:
+            return None
+        out = []
+        for p1, x1 in s1:
+            for p2, x2 in s2:
+                w = p1 * p2
+                for e in self.events:
+                    w *= mon.evaluate(e.poly, x1, x2)
+                if w < -1e-9:
+                    raise ValueError("conditioning event is negative on the support")
+                if w > 0.0:
+                    out.append((w, x1, x2))
+        tot = sum(w for w, _, _ in out)
+        if tot <= 0:
+            return None
+        return [(w / tot, x1, x2) for w, x1, x2 in out]
+
     def _raw_moment(self, m: Monomial) -> float:
         m0, m1 = split_copies(m)
         return self.pe1.moment(m0) * self.pe2.moment(m1)
@@ -387,9 +419,7 @@ class ProductPE(PseudoExpectation):
         return out
 
     def condition(self, event: EventPoly, floor: float = FLOOR_COND) -> "ProductPE":
-        if event.provenance != "zero_one_product" and not (
-                isinstance(self.pe1, DistributionPE) and isinstance(self.pe2, DistributionPE)):
-            raise ValidityError("conditioning requires a [0,1]-provenance event")
+        _check_provenance(self, event)
         return ProductPE(self.pe1, self.pe2, events=self.events + [event], floor=floor)
 
     def marginal_pe(self, copy: int) -> PseudoExpectation:
@@ -419,17 +449,6 @@ def product(pe: PseudoExpectation) -> ProductPE:
     return ProductPE(pe)
 
 
-def pseudo_probability(pe: PseudoExpectation, event: Poly,
-                       given: Optional[Poly] = None,
-                       floor: float = FLOOR_COND) -> float:
-    if given is None:
-        return pe.pE(event)
-    z = pe.pE(given)
-    if z < floor:
-        raise NearZeroEvent(f"pPr of the conditioning event is {z}")
-    return pe.pE(poly_mul(event, given)) / z
-
-
 # ---------------------------------------------------------------------------
 # Z variables (shift indicators between the two copies)
 
@@ -442,14 +461,6 @@ def z_poly(u: int, s: int, q: int) -> Poly:
         m = mul(var(u, a, 0), var(u, (a - s) % q, 1))
         out[m] = out.get(m, 0.0) + 1.0
     return out
-
-
-def z_moment(prod: ProductPE, pairs: Sequence[tuple[int, int]]) -> float:
-    """Moment of a product of Z_{u,s} factors in a product pseudoexpectation."""
-    p: Poly = {ONE: 1.0}
-    for (u, s) in pairs:
-        p = poly_mul(p, z_poly(u, s, prod.q))
-    return prod.pE(p)
 
 
 def z_identities_report(prod: ProductPE, inst: UGInstance,
@@ -666,7 +677,7 @@ def _local_search(inst: UGInstance, seed: int, restarts: int = 4,
 
 
 def solve(relaxation: Relaxation, method: str = "auto", seed: int = 0,
-          admm_iters: Optional[int] = None, verbose: bool = False) -> SolvedPE:
+          admm_iters: Optional[int] = None) -> SolvedPE:
     """Solve the relaxation and return a valid pseudoexpectation.
 
     auto: interior-point (certified duality gap <= 1e-7) when the class count
@@ -687,7 +698,7 @@ def solve(relaxation: Relaxation, method: str = "auto", seed: int = 0,
         info.update({"method": "warm_certificate", "objective": float(prob.c @ y),
                      "gap": 0.0, "certified": True, "iterations": 0})
     elif method == "ipm":
-        res = solve_ipm(prob, verbose=verbose)
+        res = solve_ipm(prob)
         y = res.y
         if res.objective < float(prob.c @ y_ws):
             y = y_ws  # never return worse than the best integral witness
@@ -696,7 +707,7 @@ def solve(relaxation: Relaxation, method: str = "auto", seed: int = 0,
                      "min_eig": res.min_eig, "status": res.status})
     elif method == "admm":
         iters = admm_iters if admm_iters is not None else (300 if prob.side <= 600 else 120)
-        res = solve_admm(prob, max_iter=iters, warm_y=y_ws, verbose=verbose)
+        res = solve_admm(prob, max_iter=iters, warm_y=y_ws)
         y = res.y
         if float(prob.c @ y) < float(prob.c @ y_ws):
             y = y_ws

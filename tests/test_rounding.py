@@ -247,7 +247,7 @@ def test_main_algorithm_multi_iteration_accounting(monkeypatch):
         ids = johnson.subcube(g, a).vertex_ids()
         P = EventPoly(density_poly(inst_, ids, 0), description="forced")
         diag = {"chosen": {"a": list(a), "s": 0, "score": 1.0, "p_event":
-                           rounding._pe_of_poly(prod_, density_poly(inst_, ids, 0)),
+                           prod_.pE(density_poly(inst_, ids, 0)),
                            "floor": 0.0, "floor_ok": True, "event": "density"}}
         return a, 0, P, diag
 

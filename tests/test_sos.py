@@ -10,8 +10,8 @@ from ugjohnson.monomials import (ONE, ZERO, EventPoly, canon, monomial_name, mul
                                  parse_monomial, poly_mul, var)
 from ugjohnson.sos import (DegreeExhausted, NearZeroEvent, condition,
                            from_assignment, mixture, moment_matrix, product,
-                           pseudo_probability, relax, shift_symmetrize, solve,
-                           validate, val_poly, z_moment, z_poly)
+                           relax, shift_symmetrize, solve, validate, val_poly,
+                           z_poly)
 
 TRIANGLE = ug_core.UGInstance(3, 2, ((0, 1, 1), (1, 2, 1), (0, 2, 1)),
                               tuple([Fraction(1, 3)] * 3))
@@ -193,6 +193,24 @@ def test_condition_requires_provenance(j421_solved):
         condition(pe, bad)
 
 
+def test_condition_entry_points_share_provenance_rule(j421_solved):
+    # a surrogate event reweights a product of distributions through either
+    # entry point, and a product of moment tables through neither
+    _, _, _, pe = j421_solved
+    dA = from_assignment(np.array([0, 1, 0, 1, 1, 0]), 2)
+    dB = mixture([(from_assignment(np.array([1, 1, 0, 0, 1, 0]), 2), 0.5),
+                  (from_assignment(np.array([0, 0, 0, 1, 1, 1]), 2), 0.5)])
+    ev = EventPoly({ONE: 0.25, canon([(1, 0, 0)]): 0.5}, provenance="surrogate")
+    via_sos = condition(sos.ProductPE(dA, dB), ev)
+    via_method = sos.ProductPE(dA, dB).condition(ev)
+    assert [w for w, _, _ in via_sos.exact_support()] == [0.25, 0.75]
+    m = canon([(0, 1, 1), (1, 3, 1)])
+    assert via_sos.moment(m) == via_method.moment(m) == 0.75
+    for entry in (lambda: condition(product(pe), ev), lambda: product(pe).condition(ev)):
+        with pytest.raises(sos.ValidityError):
+            entry()
+
+
 def test_conditioning_preserves_validity(j421_solved):
     _, _, _, pe = j421_solved
     cond = condition(pe, EventPoly({var(0, 0): 1.0}))
@@ -206,13 +224,13 @@ def test_conditioning_preserves_validity(j421_solved):
 
 def test_pseudo_probability(j421_solved):
     _, _, _, pe = j421_solved
-    tot = sum(pseudo_probability(pe, {var(0, a): 1.0}) for a in range(2))
+    tot = sum(pe.pE({var(0, a): 1.0}) for a in range(2))
     assert tot == pytest.approx(1.0, abs=1e-9)
     x = np.array([1, 0, 1])
     pei = from_assignment(x, 2)
-    assert pseudo_probability(pei, {var(0, 1): 1.0}) == 1.0
+    assert pei.pE({var(0, 1): 1.0}) == 1.0
     prod = product(pei)
-    joint = pseudo_probability(prod, {canon([(0, 0, 1), (1, 0, 1)]): 1.0})
+    joint = prod.pE({canon([(0, 0, 1), (1, 0, 1)]): 1.0})
     assert joint == pytest.approx(1.0)
 
 
@@ -239,8 +257,8 @@ def test_z_variable_identities(j421_solved):
     pi = sos.ProductPE(from_assignment(x, 2), from_assignment(xp, 2))
     for u in range(4):
         s = (x[u] - xp[u]) % 2
-        assert z_moment(pi, [(u, s)]) == pytest.approx(1.0)
-        assert sum(z_moment(pi, [(u, t)]) for t in range(2)) == pytest.approx(1.0)
+        assert pi.pE(z_poly(u, s, 2)) == pytest.approx(1.0)
+        assert sum(pi.pE(z_poly(u, t, 2)) for t in range(2)) == pytest.approx(1.0)
 
 
 def test_pseudo_cauchy_schwarz(j421_solved):
