@@ -517,16 +517,6 @@ def expansion_certificate(dom, F: np.ndarray, r: int, gamma: float,
     }
 
 
-def level_report(dom: CayleyDomain, F: np.ndarray) -> dict:
-    """Spectrum/level JSON record: {levels: [{i, eta, lambda}], parseval_residual}."""
-    dec = level_decompose(dom, F)
-    return {
-        "levels": [{"i": i, "eta": float(dec.eta[i]), "lambda": dom.eigenvalue(i)}
-                   for i in range(dom.ell + 1)],
-        "parseval_residual": dec.parseval_residual(),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Johnson <-> Cayley bridge
 

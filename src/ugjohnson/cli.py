@@ -37,20 +37,20 @@ def _emit(report: dict, out: str | None):
     return 0 if ok else 1
 
 
-def _apply_config_file(args: argparse.Namespace) -> argparse.Namespace:
-    """Flat key-value (INI) config; explicit flags override file values."""
+def _parse_args(ap: argparse.ArgumentParser, sub, argv) -> argparse.Namespace:
+    """Parse argv; a --config INI file (flat keys or [DEFAULT], overridden by a
+    section named after the command) supplies defaults that explicit flags beat."""
+    args = ap.parse_args(argv)
     if not getattr(args, "config", None):
         return args
-    cp = configparser.ConfigParser()
-    cp.read(args.config)
-    section = cp["DEFAULT"] if "DEFAULT" in cp else cp[cp.sections()[0]]
-    for key, raw in section.items():
-        if not hasattr(args, key) or f"--{key.replace('_', '-')}" in sys.argv:
-            continue
-        cur = getattr(args, key)
-        cast = type(cur) if cur is not None else str
-        setattr(args, key, cast(raw) if cast is not bool else raw.lower() == "true")
-    return args
+    cp = configparser.ConfigParser(strict=False)
+    with open(args.config) as fh:
+        cp.read_string("[DEFAULT]\n" + fh.read())
+    values = cp[args.command] if cp.has_section(args.command) else cp.defaults()
+    known = vars(args).keys() - {"func", "command", "config"}
+    sub.choices[args.command].set_defaults(
+        **{k: v for k, v in values.items() if k in known})
+    return ap.parse_args(argv)  # argparse converts the string defaults by type
 
 
 def _thread_cap():
@@ -252,8 +252,7 @@ def main(argv=None) -> int:
     v.add_argument("--config", type=str, default=None)
     v.set_defaults(func=cmd_verify)
 
-    args = ap.parse_args(argv)
-    args = _apply_config_file(args)
+    args = _parse_args(ap, sub, argv)
     return args.func(args)
 
 

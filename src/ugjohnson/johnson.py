@@ -213,18 +213,6 @@ def subcube_expansion_bound(g: JohnsonGraph, r: int) -> dict:
     return {"r": r, "bound": bound, "exact": exact}
 
 
-def dump_edges_csv(g: JohnsonGraph, path: str) -> None:
-    """Adjacency dump as an edge-list CSV (u, v, subset_u, subset_v)."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["u", "v", "subset_u", "subset_v"])
-        for (u, v) in g.edges():
-            w.writerow([u, v, " ".join(map(str, g.vertex_subset(u))),
-                        " ".join(map(str, g.vertex_subset(v)))])
-
-
 def small_restriction_expansion_check(g: JohnsonGraph, eps: float) -> dict:
     """Expansion of s-restricted subcubes (s < r = floor(32*sqrt(eps)/alpha)) vs 200*sqrt(eps).
 

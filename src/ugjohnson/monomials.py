@@ -11,7 +11,6 @@ Sparse polynomials are dicts {monomial: coefficient}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 Var = tuple[int, int, int]        # (copy, vertex, label)
@@ -147,34 +146,3 @@ class EventPoly:
 
     def side_degree(self, copy: int) -> int:
         return poly_side_degree(self.poly, copy)
-
-
-# ---------------------------------------------------------------------------
-# label-0 elimination (the reduced basis uses labels 1..q-1 only)
-
-
-@lru_cache(maxsize=200_000)
-def _expand_var(u: int, a: int, q: int) -> tuple[tuple[Monomial, float], ...]:
-    if a != 0:
-        return ((var(u, a), 1.0),)
-    terms = [(ONE, 1.0)]
-    for b in range(1, q):
-        terms.append((var(u, b), -1.0))
-    return tuple(terms)
-
-
-def expand_label0(m: Monomial, q: int) -> Poly:
-    """Rewrite a single-copy monomial over the reduced basis (labels >= 1)."""
-    out: Poly = {ONE: 1.0}
-    for (c, u, a) in m:
-        if c != 0:
-            raise ValueError("reduced-basis expansion is per copy")
-        nxt: Poly = {}
-        for mm, cc in out.items():
-            for em, ec in _expand_var(u, a, q):
-                r = mul(mm, em)
-                if r is ZERO:
-                    continue
-                nxt[r] = nxt.get(r, 0.0) + cc * ec
-        out = nxt
-    return out

@@ -387,7 +387,6 @@ class LocalDistributionCollection:
     pseudoexpectation and a step polynomial (or its surrogate)."""
     prod: ProductPE
     spec: ShiftPartitionSpec
-    arity: int
     joints: dict = field(default_factory=dict)
     flags: dict = field(default_factory=dict)
     clamp_policy: float = 1e-8
@@ -510,17 +509,6 @@ def _build_joint(prod: ProductPE, spec: ShiftPartitionSpec, slots: tuple[Slot, .
     return flat.reshape(sizes), flag
 
 
-def extract_local(prod: ProductPE, spec: ShiftPartitionSpec,
-                  tuples: Sequence[tuple[Slot, ...]],
-                  arity: int = 8) -> LocalDistributionCollection:
-    coll = LocalDistributionCollection(prod, spec, arity)
-    for slots in tuples:
-        if len(slots) > arity:
-            raise ValueError("tuple exceeds the arity bound")
-        coll.joint(tuple(slots))
-    return coll
-
-
 def y_slots(u: int, v: int, primed: bool, with_p: bool) -> tuple[Slot, ...]:
     """Slots of Y_{u,v} = (X_u, X_v, p_u, p_v) (or the primed copy)."""
     xs = "Xp" if primed else "X"
@@ -529,25 +517,6 @@ def y_slots(u: int, v: int, primed: bool, with_p: bool) -> tuple[Slot, ...]:
     if with_p:
         s += [(ps, u), (ps, v)]
     return tuple(s)
-
-
-def summary_report(spec: ShiftPartitionSpec, prod: ProductPE, sub: Subcube,
-                   mi_stats: "MIStats", edge_cover: Optional[dict] = None) -> dict:
-    """Potential/MI JSON record:
-    {phi, phi_restricted: {a, value}, psi, mi: {avg, max}, edge_cover: {...}}."""
-    phi = phi_potential(spec, prod)["phi"]
-    phi_res = phi_global_restricted(spec, prod, sub)["phi"]
-    psi = psi_potential(prod.marginal_pe(0), spec.inst)
-    out = {
-        "phi": phi,
-        "phi_restricted": {"a": list(sub.a), "value": phi_res},
-        "psi": psi,
-        "mi": {"avg": mi_stats.average, "max": mi_stats.maximum},
-    }
-    if edge_cover is not None:
-        out["edge_cover"] = {"terms": edge_cover["terms"], "err": edge_cover["err"],
-                             "slack": edge_cover["slack"]}
-    return out
 
 
 @dataclass

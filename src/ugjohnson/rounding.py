@@ -276,7 +276,7 @@ def find_event_subcube(inst: UGInstance, prod: ProductPE, cfg: RoundingConfig
 def _avg_mi(pe: PseudoExpectation, inst: UGInstance, S: Sequence[int],
             cfg: RoundingConfig, spec: ShiftPartitionSpec, primed: bool,
             prod_for_coll: ProductPE) -> float:
-    coll = LocalDistributionCollection(prod_for_coll, spec, arity=8)
+    coll = LocalDistributionCollection(prod_for_coll, spec)
     stats = pairwise_mi(coll, S, primed=primed, with_p=cfg.include_p_slots,
                         max_pairs=cfg.mi_pair_budget, seed=cfg.seed)
     return stats.average
@@ -390,8 +390,8 @@ def tv_conditioning_check(prod: ProductPE, E: EventPoly, S: Sequence[int],
                               mode="surrogate" if cfg.include_p_slots else "plain",
                               val_within=frozenset(S))
     cond = prod.condition(E)
-    base_coll = LocalDistributionCollection(prod, spec, arity=8)
-    cond_coll = LocalDistributionCollection(cond, spec, arity=8)
+    base_coll = LocalDistributionCollection(prod, spec)
+    cond_coll = LocalDistributionCollection(cond, spec)
     p_bar = prod.pE(E.poly)
     pairs = list(itertools.combinations(S, 2))
     rng = np.random.default_rng(cfg.seed + 2)

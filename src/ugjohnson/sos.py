@@ -15,6 +15,7 @@ polynomials and is the reweighting operation of the framework.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
@@ -187,6 +188,18 @@ def mixture(parts: Sequence[tuple[DistributionPE, float]]) -> DistributionPE:
     return DistributionPE(support, parts[0][0].q, min(pe.degree for pe, _ in parts))
 
 
+def reduced_terms(m: Monomial, q: int) -> list[tuple[Monomial, float]]:
+    """The (reduced monomial, sign) terms of a canonical single-copy monomial
+    with X_{u,0} = 1 - sum_{b>=1} X_{u,b}: a term picks one factor per
+    variable, so it keeps m's vertex order and is canonical and nonzero."""
+    choices = [(((c, u, a), 1.0),) if a else
+               ((None, 1.0),) + tuple(((c, u, b), -1.0) for b in range(1, q))
+               for (c, u, a) in m]
+    return [(tuple(v for v, _ in pick if v is not None),
+             math.prod((s for _, s in pick), start=1.0))
+            for pick in itertools.product(*choices)]
+
+
 class SolvedPE(PseudoExpectation):
     """Pseudoexpectation backed by a reduced moment table from the SDP solver."""
 
@@ -214,9 +227,8 @@ class SolvedPE(PseudoExpectation):
             if out is None:
                 raise DegreeExhausted(f"monomial {mon.monomial_name(m)} missing from table")
         else:
-            expansion = mon.expand_label0(m, self.q)
             out = 0.0
-            for mm, cc in expansion.items():
+            for mm, cc in reduced_terms(m, self.q):
                 val = self.table.get(mm)
                 if val is None:
                     raise DegreeExhausted(f"monomial {mon.monomial_name(mm)} missing")
@@ -319,8 +331,7 @@ class ShiftSymmetrizedPE(PseudoExpectation):
         q = self.q
         tot = 0.0
         for s in range(q):
-            shifted = canon(((c, u, (a + s) % q) for (c, u, a) in m))
-            tot += self.base.moment(shifted)
+            tot += self.base.moment(tuple((c, u, (a + s) % q) for (c, u, a) in m))
         out = tot / q
         self._cache[m] = out
         return out
@@ -441,8 +452,7 @@ class ProductMarginalPE(PseudoExpectation):
     def moment(self, m: Monomial) -> float:
         if m is ZERO:
             return 0.0
-        inj = canon(((self.copy, u, a) for (_, u, a) in m))
-        return self.prod.moment(inj)
+        return self.prod.moment(tuple((self.copy, u, a) for (_, u, a) in m))
 
 
 def product(pe: PseudoExpectation) -> ProductPE:
@@ -558,7 +568,7 @@ def _poly_to_class_vec(p: Poly, q: int, class_index: dict, n_classes: int) -> np
     for m, c in p.items():
         if m is ZERO:
             continue
-        for mm, cc in mon.expand_label0(m, q).items():
+        for mm, cc in reduced_terms(m, q):
             vec[class_index[mm]] += c * cc
     return vec
 
@@ -607,16 +617,10 @@ def relax(inst: UGInstance, D: int) -> Relaxation:
     cvec = _poly_to_class_vec(val_poly(inst), q, class_index, len(classes))
 
     G = g0 = None
-    if D == 2:
-        rows, consts = [], []
-        for (u, v) in itertools.combinations(range(n), 2):
-            for a in range(q):
-                for b in range(q):
-                    vec = _poly_to_class_vec({mul(var(u, a), var(v, b)): 1.0}, q,
-                                             class_index, len(classes))
-                    rows.append(vec[1:])
-                    consts.append(vec[0])
-        G, g0 = np.asarray(rows), np.asarray(consts)
+    if D == 2:  # one row per full-label pair X_{u,a} X_{v,b}, u < v
+        rows = np.asarray([_poly_to_class_vec({m: 1.0}, q, class_index, len(classes))
+                           for m in monomial_classes(n, q, 2, False)[1 + n * q:]])
+        G, g0 = np.ascontiguousarray(rows[:, 1:]), rows[:, 0].copy()
 
     prob = MomentSDP(side=B, n_classes=len(classes),
                      entry_i=ei[~const], entry_j=ej[~const], entry_k=ek[~const],

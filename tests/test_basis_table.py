@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from ugjohnson import johnson, sos, ug_core
-from ugjohnson import monomials as mon
 from ugjohnson.monomials import ONE, ZERO, mul, var
+
+from label0_oracle import expand_label0
 
 CASES = [(n, q, D) for n in (4, 5, 6) for q in (2, 3) for D in (2, 4)]
 IDS = [f"J({n},2,1)-q{q}-D{D}" for n, q, D in CASES]
@@ -35,7 +36,7 @@ def _monomials(n, q, max_deg, lo):
 def _class_vec(p, q, class_index, n_classes):
     vec = np.zeros(n_classes)
     for m, c in p.items():
-        for mm, cc in mon.expand_label0(m, q).items():
+        for mm, cc in expand_label0(m, q).items():
             vec[class_index[mm]] += c * cc
     return vec
 
@@ -118,6 +119,7 @@ def test_relax_matches_pair_loop(n, q, D):
     _assert_same(prob.const_entries[1], ref["const_j"])
     if D == 2:
         _assert_same(prob.G, ref["G"])
+        assert prob.G.flags.c_contiguous
         _assert_same(prob.g0, ref["g0"])
     else:
         assert prob.G is None and ref["G"] is None

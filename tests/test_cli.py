@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import ugjohnson
-from ugjohnson import sos
+from ugjohnson import cli, sos
 from ugjohnson.cli import main
 from ugjohnson.monomials import parse_monomial
 
@@ -92,6 +92,40 @@ def test_config_file_overrides(tmp_path):
     d = json.loads(out.read_text())
     assert d["q"] == 3
     assert d["metadata"]["planted"]["epsilon"] == 0.1
+
+
+def _generate_with_config(tmp_path, text, *flags):
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text(text)
+    out = tmp_path / "i.json"
+    assert main(["generate", "--n", "5", "--l", "2", "--alpha", "0.5", "--seed", "0",
+                 "--out", str(out), *flags, "--config", str(cfgfile)]) == 0
+    return json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("text", ["q = 3\neps = 0.1\n", "[generate]\nq = 3\neps = 0.1\n",
+                                  "q = 2\n[generate]\nq = 3\neps = 0.1\n[solve]\nseed = 9\n"],
+                         ids=["flat", "named-section", "section-over-defaults"])
+def test_config_file_layouts(tmp_path, text):
+    d = _generate_with_config(tmp_path, text)
+    assert d["q"] == 3
+    assert d["metadata"]["planted"]["epsilon"] == 0.1
+
+
+@pytest.mark.parametrize("flags", [("--q", "2"), ("--q=2",)], ids=["space", "equals"])
+def test_explicit_flag_beats_config_file(tmp_path, flags):
+    d = _generate_with_config(tmp_path, "[DEFAULT]\nq = 3\neps = 0.1\n", *flags)
+    assert d["q"] == 2
+    assert d["metadata"]["planted"]["epsilon"] == 0.1
+
+
+def test_config_value_takes_the_flag_type(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_round", lambda args: seen.append(args) or 0)
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("[DEFAULT]\nadmm_iters = 60\neps = 0.25\n")
+    assert main(["round", "--instance", "unused.json", "--config", str(cfgfile)]) == 0
+    assert seen[0].admm_iters == 60 and seen[0].eps == 0.25
 
 
 def _threads_after(code: str, **env_extra: str) -> int:

@@ -3,12 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from ugjohnson import johnson, potentials as pot, sos, steppoly, ug_core
+from ugjohnson import johnson, sos, steppoly, ug_core
 from ugjohnson.monomials import EventPoly
 from ugjohnson.potentials import (LocalDistributionCollection, ShiftPartitionSpec,
                                   potential_restriction_check, data_processing_check,
                                   default_eps_schedule, dense_subcube_indicators,
-                                  edge_cover_decompose, extract_local, g_parts,
+                                  edge_cover_decompose, g_parts,
                                   mutual_information, pairwise_mi, phi_global_restricted,
                                   phi_integral, phi_potential, pinsker_check,
                                   psi_potential, shift_fn_eval, tv_distance, y_slots)
@@ -123,8 +123,7 @@ def test_extract_local_integral_point_masses(setup):
     g, inst, A, p = setup
     prod = sos.ProductPE(sos.from_assignment(A, 2), sos.from_assignment(A, 2))
     spec = ShiftPartitionSpec(inst, 0.3, 0.1, mode="steppoly", step=p)
-    coll = extract_local(prod, spec, [y_slots(0, 1, False, True)])
-    arr = coll.joint(y_slots(0, 1, False, True))
+    arr = LocalDistributionCollection(prod, spec).joint(y_slots(0, 1, False, True))
     # X-part is a point mass at the assignment; p-part concentrates near 1
     assert arr[A[0], A[1]].sum() == pytest.approx(1.0)
     assert arr[A[0], A[1], 1, 1] >= (1 - 0.1) ** 2
@@ -137,7 +136,7 @@ def test_extract_local_product_factorizes(setup):
     prod = sos.ProductPE(sos.from_assignment(A, 2), sos.from_assignment(xp, 2))
     spec = ShiftPartitionSpec(inst, 0.3, 0.1, mode="plain")
     slots = (("X", 0), ("Xp", 0))
-    arr = LocalDistributionCollection(prod, spec, 4).joint(slots)
+    arr = LocalDistributionCollection(prod, spec).joint(slots)
     assert arr[A[0], xp[0]] == pytest.approx(1.0)
 
 
@@ -146,7 +145,7 @@ def test_extract_local_marginal_consistency(setup):
     pe = sos.solve(sos.relax(inst, 4))
     prod = sos.product(pe)
     spec = ShiftPartitionSpec(inst, 0.3, 0.1, mode="plain")
-    coll = LocalDistributionCollection(prod, spec, 6)
+    coll = LocalDistributionCollection(prod, spec)
     j01 = coll.joint((("X", 0), ("X", 1)))
     j02 = coll.joint((("X", 0), ("X", 2)))
     assert np.abs(j01.sum(axis=1) - j02.sum(axis=1)).max() < 1e-8
@@ -157,7 +156,7 @@ def test_extract_local_clamp_policy(setup):
     pe = sos.solve(sos.relax(inst, 4))
     prod = sos.product(pe)
     spec = ShiftPartitionSpec(inst, 0.3, 0.1, mode="plain")
-    coll = LocalDistributionCollection(prod, spec, 4)
+    coll = LocalDistributionCollection(prod, spec)
     arr = coll.joint((("X", 3), ("X", 7)))
     assert arr.min() >= 0.0 and arr.sum() == pytest.approx(1.0)
 
@@ -202,7 +201,7 @@ def test_pairwise_mi_independent_is_zero(setup):
                                   zip(rel.classes, rel.problem.uniform_y)})
     prod = sos.ProductPE(peU, peU)
     spec = ShiftPartitionSpec(inst, 0.3, 0.1, mode="plain")
-    coll = LocalDistributionCollection(prod, spec, 8)
+    coll = LocalDistributionCollection(prod, spec)
     stats = pairwise_mi(coll, range(6), max_pairs=10)
     assert stats.average == pytest.approx(0.0, abs=1e-9)
     assert stats.maximum >= stats.average >= 0
@@ -332,36 +331,12 @@ def test_compose_val_both_mode(setup):
     assert ev.exact_eval(A, xp) >= 1 - p.nu      # global shift keeps both-sat
 
 
-def test_level_report_schema(setup):
-    from ugjohnson.cayley import CayleyDomain, level_report, symmetrize_perm
-    dom = CayleyDomain(3, 2, 1)
-    rng = np.random.default_rng(1)
-    rep = level_report(dom, symmetrize_perm(dom, rng.random(dom.shape)))
-    assert set(rep) == {"levels", "parseval_residual"}
-    assert all(set(row) == {"i", "eta", "lambda"} for row in rep["levels"])
-    assert rep["parseval_residual"] < 1e-9
-
-
-def test_summary_report_schema(setup):
-    g, inst, A, p = setup
-    pe = sos.shift_symmetrize(sos.from_assignment(A, 2))
-    prod = sos.ProductPE(pe, pe)
-    spec = ShiftPartitionSpec(inst, 0.3, 0.1, mode="steppoly", step=p)
-    coll = LocalDistributionCollection(prod, spec, 8)
-    stats = pairwise_mi(coll, range(6), max_pairs=6)
-    dec = edge_cover_decompose(g, inst, A, A, 1)
-    rep = pot.summary_report(spec, prod, johnson.subcube(g, (0,)), stats, dec)
-    assert set(rep) == {"phi", "phi_restricted", "psi", "mi", "edge_cover"}
-    assert rep["phi_restricted"]["a"] == [0]
-    assert rep["psi"] == pytest.approx(1.0)
-
-
 def test_data_processing_on_extracted_locals(setup):
     g, inst, A, _ = setup
     pe = sos.solve(sos.relax(inst, 4))
     prod = sos.product(pe)
     spec = ShiftPartitionSpec(inst, 0.3, 0.1, mode="plain")
-    coll = LocalDistributionCollection(prod, spec, 8)
+    coll = LocalDistributionCollection(prod, spec)
     joint = coll.joint((("X", 0), ("Xp", 1))).reshape(2, 2)
     rng = np.random.default_rng(2)
     for _ in range(10):
@@ -378,14 +353,6 @@ def test_psi_skips_never_occurring_shifts(setup):
     assert val == pytest.approx(1.0)
 
 
-def test_edges_csv_dump(tmp_path, setup):
-    g, _, _, _ = setup
-    path = tmp_path / "edges.csv"
-    johnson.dump_edges_csv(g, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 1 + g.num_edges
-
-
 def test_p_slot_joint_moment_path(setup):
     # solver-backed product: (X_u, p_u) joints fit the budget exactly and use
     # the flagged surrogate; full Y-with-p joints fall back to factorization
@@ -393,7 +360,7 @@ def test_p_slot_joint_moment_path(setup):
     pe = sos.solve(sos.relax(inst, 4))
     prod = sos.product(pe)
     spec = ShiftPartitionSpec(inst, 0.3, 0.1, mode="surrogate")
-    coll = LocalDistributionCollection(prod, spec, 8)
+    coll = LocalDistributionCollection(prod, spec)
     j = coll.joint((("X", 0), ("p", 0)))
     assert coll.flags[(("X", 0), ("p", 0))] == "moments_surrogate"
     assert j.min() >= 0.0 and j.sum() == pytest.approx(1.0)
@@ -414,7 +381,7 @@ def test_p_slot_support_path_uses_real_steppoly(setup):
     pe = sos.from_assignment(A, 2)
     prod = sos.ProductPE(pe, pe)
     spec = ShiftPartitionSpec(inst, 0.3, 0.1, mode="steppoly", step=p)
-    coll = LocalDistributionCollection(prod, spec, 8)
+    coll = LocalDistributionCollection(prod, spec)
     j = coll.joint((("p", 0), ("pp", 0)))
     # every vertex value is 1 on the satisfied pair, so p_u = 1 w.p. p(1)
     pv = float(p(1.0))
@@ -448,8 +415,8 @@ def test_support_and_moment_paths_agree(setup):
     assert psi_potential(mix, inst) == pytest.approx(
         psi_potential(solved_like, inst), abs=1e-10)
     # local joints
-    ca = LocalDistributionCollection(prod_support, spec, 8)
-    cb = LocalDistributionCollection(prod_table, spec, 8)
+    ca = LocalDistributionCollection(prod_support, spec)
+    cb = LocalDistributionCollection(prod_table, spec)
     slots = (("X", 0), ("X", 3), ("Xp", 0), ("Xp", 3))
     assert np.abs(ca.joint(slots) - cb.joint(slots)).max() < 1e-10
     # pairwise MI through both routes
@@ -472,8 +439,8 @@ def test_conditioned_support_and_moment_paths_agree(setup):
     ca = sos.ProductPE(mix, mix).condition(E)
     cb = sos.ProductPE(solved_like, solved_like).condition(E)
     spec = ShiftPartitionSpec(inst, 0.3, 0.1, mode="plain")
-    ja = LocalDistributionCollection(ca, spec, 8).joint((("X", 1), ("Xp", 1)))
-    jb = LocalDistributionCollection(cb, spec, 8).joint((("X", 1), ("Xp", 1)))
+    ja = LocalDistributionCollection(ca, spec).joint((("X", 1), ("Xp", 1)))
+    jb = LocalDistributionCollection(cb, spec).joint((("X", 1), ("Xp", 1)))
     assert np.abs(ja - jb).max() < 1e-10
     assert phi_potential(spec, ca)["phi"] == pytest.approx(
         phi_potential(spec, cb)["phi"], abs=1e-10)
