@@ -21,7 +21,6 @@ def main():
     ap.add_argument("--eps", type=float, default=0.0)
     ap.add_argument("--degree", type=int, default=4)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--admm-iters", type=int, default=None)
     ap.add_argument("--trace-out", type=str, default=None)
     args = ap.parse_args()
 
@@ -32,8 +31,6 @@ def main():
 
     cfg = rounding.RoundingConfig.for_instance(inst, eps=args.eps,
                                                degree=args.degree, seed=args.seed)
-    if args.admm_iters:
-        cfg.admm_iters = args.admm_iters
     t0 = time.time()
     x, trace = rounding.main_algorithm(inst, cfg, witness=A)
     print(f"\nachieved value {trace.final_value:.4f} in {time.time()-t0:.1f}s "
@@ -50,7 +47,7 @@ def main():
               f"value={rec['value']:.4f} "
               f"phi={rec['phi_conditioned']['phi']:.4f} mi={mi} "
               f"zeta={rec['tv_check']['fraction_exceeding']:.3f} "
-              f"solver={rec['solver']['method']}")
+              f"solver={rec['solver']['method']} source={rec['solver']['source']}")
         print(f"    rounding guarantee {rec['rounding_guarantee']['guarantee']:.4f} "
               f"(achieved {rec['rounding_guarantee']['achieved']:.4f}); potential-relation slack "
               f"{rec['potential_relation']['slack']:.4f}")

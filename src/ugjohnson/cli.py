@@ -38,19 +38,23 @@ def _emit(report: dict, out: str | None):
 
 
 def _parse_args(ap: argparse.ArgumentParser, sub, argv) -> argparse.Namespace:
-    """Parse argv; a --config INI file (flat keys or [DEFAULT], overridden by a
-    section named after the command) supplies defaults that explicit flags beat."""
-    args = ap.parse_args(argv)
-    if not getattr(args, "config", None):
-        return args
-    cp = configparser.ConfigParser(strict=False)
-    with open(args.config) as fh:
-        cp.read_string("[DEFAULT]\n" + fh.read())
-    values = cp[args.command] if cp.has_section(args.command) else cp.defaults()
-    known = vars(args).keys() - {"func", "command", "config"}
-    sub.choices[args.command].set_defaults(
-        **{k: v for k, v in values.items() if k in known})
-    return ap.parse_args(argv)  # argparse converts the string defaults by type
+    """Parse argv once; a --config INI file (flat keys or [DEFAULT], overridden by a
+    section named after the command) supplies defaults, for required flags too,
+    that explicit flags beat."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = sub.choices.get(argv[0] if argv else None)
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
+    if parser and (path := pre.parse_known_args(argv[1:])[0].config):
+        cp = configparser.ConfigParser(strict=False)
+        with open(path) as fh:
+            cp.read_string("[DEFAULT]\n" + fh.read())
+        values = cp[argv[0]] if cp.has_section(argv[0]) else cp.defaults()
+        for action in parser._actions:
+            if action.dest in values and action.dest not in ("help", "config"):
+                # argparse converts a string default by the flag's type
+                action.required, action.default = False, values[action.dest]
+    return ap.parse_args(argv)
 
 
 def _thread_cap():
@@ -82,7 +86,7 @@ def cmd_solve(args) -> int:
     from .monomials import monomial_name
     inst = ug_core.load(args.instance)
     t0 = time.time()
-    pe = sos.solve(sos.relax(inst, args.degree), method=args.method, seed=args.seed)
+    pe = sos.solve(sos.relax(inst, args.degree), seed=args.seed)
     validation = sos.validate(pe)
     report = {
         "config": _args_dict(args) | {"input_hash": _hash_file(args.instance)},
@@ -92,7 +96,7 @@ def cmd_solve(args) -> int:
         "runtime_s": time.time() - t0,
         "ok": bool(validation["ok"]),
         "summary": f"pE[val] = {pe.solve_info['objective']:.6f} "
-                   f"({pe.solve_info['method']}), validation "
+                   f"({pe.solve_info['method']}, source {pe.solve_info['source']}), validation "
                    f"{'ok' if validation['ok'] else 'FAILED'}",
     }
     if args.out:
@@ -110,11 +114,8 @@ def cmd_round(args) -> int:
     inst = ug_core.load(args.instance)
     cfg = rounding.RoundingConfig.for_instance(inst, eps=args.eps, degree=args.degree,
                                                seed=args.seed)
-    if args.admm_iters:
-        cfg.admm_iters = args.admm_iters
-    witness = None
     t0 = time.time()
-    x, trace = rounding.main_algorithm(inst, cfg, witness=witness)
+    x, trace = rounding.main_algorithm(inst, cfg)
     runtime = time.time() - t0
     opt = None
     try:
@@ -216,7 +217,6 @@ def main(argv=None) -> int:
     s = sub.add_parser("solve", help="solve the SoS relaxation of an instance")
     s.add_argument("--instance", type=str, required=True)
     s.add_argument("--degree", type=int, default=2)
-    s.add_argument("--method", type=str, default="auto")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", type=str, default=None, help="moment table JSON")
     s.add_argument("--report", type=str, default=None)
@@ -228,7 +228,6 @@ def main(argv=None) -> int:
     r.add_argument("--eps", type=float, default=0.0)
     r.add_argument("--degree", type=int, default=4)
     r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--admm-iters", dest="admm_iters", type=int, default=None)
     r.add_argument("--brute-budget", dest="brute_budget", type=int, default=2_000_000)
     r.add_argument("--out", type=str, default=None, help="trace JSON-lines file")
     r.add_argument("--report", type=str, default=None)

@@ -59,8 +59,6 @@ class RoundingConfig:
     mi_pair_budget: int = 30
     tv_pair_budget: int = 30
     iteration_cap: Optional[int] = None
-    solver_method: str = "auto"
-    admm_iters: Optional[int] = None
     include_p_slots: bool = False    # Y including p-coordinates (needs degree)
 
     def __post_init__(self):
@@ -527,8 +525,7 @@ def main_algorithm(inst: UGInstance, cfg: RoundingConfig,
     while len(covered) < cfg.gamma / 2 * n and j < cap:
         j += 1
         rel = sos.relax(current, cfg.degree)
-        pe = sos.solve(rel, method=cfg.solver_method, seed=cfg.seed + j,
-                       admm_iters=cfg.admm_iters)
+        pe = sos.solve(rel, seed=cfg.seed + j)
         x_sub, rec = subround(current, pe, None, cfg)
         rec["iteration"] = j
         rec["solver"] = pe.solve_info

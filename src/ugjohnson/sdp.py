@@ -9,8 +9,11 @@ Two methods:
   * a primal-dual interior-point method (HKM direction, Mehrotra-style
     centering) with a certified duality gap, for small/medium problems;
   * a budgeted ADMM splitting with a PSD-projection step and a validity
-    repair (mixing toward the uniform-moment interior point), for problems
-    whose class count makes the Schur complement infeasible.
+    repair (mixing toward the uniform-moment interior point).  Nothing in the
+    library calls it: over the Schur budget `sos.solve` returns the warm
+    start.  `solve_admm`, `repair_psd` and `MomentSDP.class_average` /
+    `class_count` stay only because the benchmark's tracer (bench/tracing.py,
+    bench/run.py) looks the solver functions up by name.
 
 Both are deterministic given their inputs.
 """

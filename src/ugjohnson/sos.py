@@ -25,7 +25,7 @@ import numpy as np
 from . import monomials as mon
 from .monomials import (EventPoly, Monomial, ONE, ZERO, Poly, canon, mul,
                         poly_add, poly_mul, poly_scale, var)
-from .sdp import MomentSDP, solve_admm, solve_ipm
+from .sdp import MomentSDP, solve_ipm
 from .ug_core import UGInstance, value as ug_value
 
 TOL_PSD = 1e-7
@@ -260,6 +260,17 @@ class ConditionedPE(PseudoExpectation):
     def degree(self) -> int:
         return self._degree
 
+    def exact_support(self) -> Optional[list[tuple[float, np.ndarray]]]:
+        return self._support
+
+    @cached_property
+    def _support(self) -> Optional[list[tuple[float, np.ndarray]]]:
+        """The base support reweighted by the event."""
+        inner = self.base.exact_support()
+        if inner is None:
+            return None
+        return _renormalised([(p * mon.evaluate(self.event.poly, x), x) for p, x in inner])
+
     def moment(self, m: Monomial) -> float:
         if m is ZERO:
             return 0.0
@@ -276,6 +287,16 @@ class ConditionedPE(PseudoExpectation):
         out = num / self.z
         self._cache[m] = out
         return out
+
+
+def _renormalised(support: list[tuple]) -> Optional[list[tuple]]:
+    """A reweighted support without its zero weights, renormalised (None when
+    nothing is left); a ValueError if a conditioning event is negative on it."""
+    if any(item[0] < -1e-9 for item in support):
+        raise ValueError("conditioning event is negative on the support")
+    kept = [item for item in support if item[0] > 0.0]
+    tot = sum(item[0] for item in kept)
+    return [(item[0] / tot, *item[1:]) for item in kept] if tot > 0 else None
 
 
 def _check_provenance(pe: PseudoExpectation, event: EventPoly) -> None:
@@ -382,8 +403,7 @@ class ProductPE(PseudoExpectation):
 
     @cached_property
     def _pairs(self) -> Optional[list[tuple[float, np.ndarray, np.ndarray]]]:
-        """(weight, x, x') over both factors' supports, reweighted by the events
-        and renormalised; a ValueError if an event is negative on the support."""
+        """(weight, x, x') over both factors' supports, reweighted by the events."""
         s1, s2 = self.pe1.exact_support(), self.pe2.exact_support()
         if s1 is None or s2 is None:
             return None
@@ -393,14 +413,8 @@ class ProductPE(PseudoExpectation):
                 w = p1 * p2
                 for e in self.events:
                     w *= mon.evaluate(e.poly, x1, x2)
-                if w < -1e-9:
-                    raise ValueError("conditioning event is negative on the support")
-                if w > 0.0:
-                    out.append((w, x1, x2))
-        tot = sum(w for w, _, _ in out)
-        if tot <= 0:
-            return None
-        return [(w / tot, x1, x2) for w, x1, x2 in out]
+                out.append((w, x1, x2))
+        return _renormalised(out)
 
     def _raw_moment(self, m: Monomial) -> float:
         m0, m1 = split_copies(m)
@@ -680,46 +694,34 @@ def _local_search(inst: UGInstance, seed: int, restarts: int = 4,
     return best_x, best_v
 
 
-def solve(relaxation: Relaxation, method: str = "auto", seed: int = 0,
-          admm_iters: Optional[int] = None) -> SolvedPE:
+def solve(relaxation: Relaxation, seed: int = 0) -> SolvedPE:
     """Solve the relaxation and return a valid pseudoexpectation.
 
-    auto: interior-point (certified duality gap <= 1e-7) when the class count
-    permits a dense Schur complement; otherwise warm-started budgeted ADMM
-    followed by a PSD repair.  A warm start achieving objective 1 is returned
-    directly (it is certified optimal: the objective is at most 1 for every
-    valid pseudoexpectation).
+    A warm start of objective 1 is certified optimal and returned as it is.
+    Otherwise the interior-point method runs (certified gap <= 1e-7) when the
+    class count permits a dense Schur complement, and the warm start replaces
+    its table when it scores higher; over that budget the warm start is
+    returned uncertified.  solve_info["source"] names the table returned:
+    "sdp", "warm_start" or "warm_certificate".
     """
     prob = relaxation.problem
     inst, q = relaxation.inst, relaxation.inst.q
     x_ws, v_ws = _local_search(inst, seed)
-    y_ws = assignment_reduced_table(relaxation.classes, x_ws, q)
-    info = {"warm_value": v_ws, "method": method}
-    if method == "auto":
-        method = "ipm" if (prob.m <= 2400 and prob.side <= 260) else "admm"
+    y = y_ws = assignment_reduced_table(relaxation.classes, x_ws, q)
+    info = {"warm_value": v_ws, "objective": float(prob.c @ y_ws), "iterations": 0}
     if v_ws >= 1.0 - 1e-12:
-        y = y_ws
-        info.update({"method": "warm_certificate", "objective": float(prob.c @ y),
-                     "gap": 0.0, "certified": True, "iterations": 0})
-    elif method == "ipm":
+        info.update(method="warm_certificate", source="warm_certificate", gap=0.0,
+                    certified=True)
+    elif prob.m <= 2400 and prob.side <= 260:
         res = solve_ipm(prob)
-        y = res.y
-        if res.objective < float(prob.c @ y_ws):
-            y = y_ws  # never return worse than the best integral witness
-        info.update({"method": "ipm", "objective": float(prob.c @ y), "gap": res.gap,
-                     "certified": res.status == "optimal", "iterations": res.iterations,
-                     "min_eig": res.min_eig, "status": res.status})
-    elif method == "admm":
-        iters = admm_iters if admm_iters is not None else (300 if prob.side <= 600 else 120)
-        res = solve_admm(prob, max_iter=iters, warm_y=y_ws)
-        y = res.y
-        if float(prob.c @ y) < float(prob.c @ y_ws):
-            y = y_ws
-        info.update({"method": "admm", "objective": float(prob.c @ y), "gap": res.gap,
-                     "certified": False, "iterations": res.iterations,
-                     "min_eig": res.min_eig, "status": res.status})
+        # never return worse than the best integral witness
+        y, source = (y_ws, "warm_start") if res.objective < info["objective"] else (res.y, "sdp")
+        info.update(method="ipm", source=source, objective=float(prob.c @ y), gap=res.gap,
+                    certified=res.status == "optimal", iterations=res.iterations,
+                    min_eig=res.min_eig, status=res.status)
     else:
-        raise ValueError(f"unknown method {method}")
+        info.update(method="warm_start", source="warm_start", gap=math.nan, certified=False,
+                    status="over_budget")
     table = {m: float(y[k]) for k, m in enumerate(relaxation.classes)}
     return SolvedPE(inst.vertex_count, q, relaxation.D, table, solve_info=info)
 

@@ -10,8 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from ugjohnson import (cayley, johnson, potentials as pot, rounding, sos,
-                       steppoly, ug_core, verify)
+from ugjohnson import (cayley, johnson, potentials as pot, sos, steppoly, ug_core,
+                       verify)
 from ugjohnson.monomials import ONE, EventPoly, poly_mul
 from ugjohnson.rounding import RoundingConfig, main_algorithm, rt_reduce
 
@@ -289,8 +289,6 @@ def e2e_runs():
             inst, A = ug_core.plant(g, q, ug_core.PlantedSpec(eps, 100 + q))
             cfg = RoundingConfig.for_instance(inst, eps=eps, degree=4,
                                               seed=10 * q + int(eps * 100))
-            if q == 3:
-                cfg.admm_iters = 60
             x, trace = main_algorithm(inst, cfg, witness=A)
             runs[("close", q, eps)] = (inst, A, trace)
     t_close = time.time() - t_close
@@ -298,8 +296,6 @@ def e2e_runs():
     for q in (2, 3):
         inst, A = ug_core.plant(g, q, ug_core.PlantedSpec(1.0, 200 + q))
         cfg = RoundingConfig.for_instance(inst, eps=1.0, degree=4, seed=30 + q)
-        if q == 3:
-            cfg.admm_iters = 40
         x, trace = main_algorithm(inst, cfg, witness=A)
         runs[("random", q, 1.0)] = (inst, A, trace)
     t_rand = time.time() - t_rand

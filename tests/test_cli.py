@@ -119,13 +119,39 @@ def test_explicit_flag_beats_config_file(tmp_path, flags):
     assert d["metadata"]["planted"]["epsilon"] == 0.1
 
 
+def _generate_from_file(tmp_path, text, *flags):
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text(text)
+    out = tmp_path / "i.json"
+    code = main(["generate", "--out", str(out), *flags, "--config", str(cfgfile)])
+    return code, json.loads(out.read_text())
+
+
+def test_config_file_supplies_required_flags(tmp_path):
+    code, d = _generate_from_file(tmp_path, "n = 5\nl = 2\nalpha = 0.5\n")
+    assert code == 0 and d["n_vertices"] == 10  # J(5,2,1)
+
+
+def test_explicit_flag_beats_a_required_flag_from_the_file(tmp_path):
+    code, d = _generate_from_file(tmp_path, "n = 5\nl = 2\nalpha = 0.5\n", "--n", "6")
+    assert code == 0 and d["n_vertices"] == 15  # J(6,2,1)
+
+
+def test_required_flag_missing_from_file_and_flags_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        _generate_from_file(tmp_path, "n = 5\nl = 2\n")
+    assert err.value.code == 2
+    msg = capsys.readouterr().err
+    assert "required: --alpha" in msg and "--n" not in msg.split("required:")[1]
+
+
 def test_config_value_takes_the_flag_type(tmp_path, monkeypatch):
     seen = []
     monkeypatch.setattr(cli, "cmd_round", lambda args: seen.append(args) or 0)
     cfgfile = tmp_path / "run.ini"
-    cfgfile.write_text("[DEFAULT]\nadmm_iters = 60\neps = 0.25\n")
+    cfgfile.write_text("[DEFAULT]\nbrute_budget = 60\neps = 0.25\n")
     assert main(["round", "--instance", "unused.json", "--config", str(cfgfile)]) == 0
-    assert seen[0].admm_iters == 60 and seen[0].eps == 0.25
+    assert seen[0].brute_budget == 60 and seen[0].eps == 0.25
 
 
 def _threads_after(code: str, **env_extra: str) -> int:

@@ -1,4 +1,4 @@
-"""Every name a module in src/ugjohnson or scripts imports is used in that module,
+"""Every name a module in src/ugjohnson, scripts or tests imports is used in that module,
 and every function, method and class defined in src/ugjohnson is referenced
 somewhere in src, scripts, bench or tests."""
 
@@ -9,7 +9,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = sorted((ROOT / "src" / "ugjohnson").glob("*.py"))
-FILES = sorted([*LIBRARY, *(ROOT / "scripts").glob("*.py")])
+FILES = sorted([*LIBRARY, *(ROOT / "scripts").glob("*.py"), *(ROOT / "tests").glob("*.py")])
 SCANNED = sorted(p for d in ("src", "scripts", "bench", "tests") for p in (ROOT / d).rglob("*.py"))
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ugjohnson import johnson
-from ugjohnson.johnson import (Subcube, build, small_restriction_expansion_check, colex_rank,
+from ugjohnson.johnson import (build, small_restriction_expansion_check, colex_rank,
                                colex_unrank, density, expansion, laplacian_form,
                                subcube, subcube_expansion_bound,
                                vertex_boundary_fraction)

@@ -2,9 +2,11 @@
 
 The two reference oracles below are the evaluators `potentials.support_pairs`
 and `rounding._pe_of_poly` as they stood before `exact_support()` replaced the
-first and `pE` the second; they read the pseudoexpectations' internals
-directly.  Drawn mixtures must give the same support (order, weights, arrays)
-and the same polynomial expectations.
+first and `pE` the second, with one rule added to the first: a single copy
+conditioned on an event has its base's support reweighted by the event.  They
+read the pseudoexpectations' internals directly.  Drawn mixtures must give
+the same support (order, weights, arrays) and the same polynomial
+expectations.
 """
 
 import numpy as np
@@ -27,6 +29,19 @@ def ref_support_pairs(prod):
                 return None
             q = pe.q
             return [(p / q, (x + s) % q) for p, x in inner for s in range(q)]
+        if isinstance(pe, sos.ConditionedPE):
+            inner = expand(pe.base)
+            if inner is None:
+                return None
+            out = []
+            for p, x in inner:
+                w = p * evaluate(pe.event.poly, x)
+                if w < -1e-9:
+                    raise ValueError("conditioning event is negative on the support")
+                if w > 0.0:
+                    out.append((w, x))
+            tot = sum(w for w, _ in out)
+            return [(w / tot, x) for w, x in out]
         return None
 
     s1 = expand(prod.pe1)

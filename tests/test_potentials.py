@@ -11,7 +11,7 @@ from ugjohnson.potentials import (LocalDistributionCollection, ShiftPartitionSpe
                                   edge_cover_decompose, g_parts,
                                   mutual_information, pairwise_mi, phi_global_restricted,
                                   phi_integral, phi_potential, pinsker_check,
-                                  psi_potential, shift_fn_eval, tv_distance, y_slots)
+                                  psi_potential, shift_fn_eval, y_slots)
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ugjohnson import johnson, potentials as pot, rounding, sos, ug_core
-from ugjohnson.monomials import ONE, EventPoly, evaluate, mul, var
+from ugjohnson import johnson, rounding, sos, ug_core
+from ugjohnson.monomials import ONE, EventPoly, mul, var
 from ugjohnson.rounding import (NoDenseSubcube, RoundingConfig, condition_and_round,
                                 density_poly, find_event_subcube, main_algorithm,
                                 rt_reduce, subround, tv_conditioning_check)

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,12 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ugjohnson import johnson, sos, ug_core
-from ugjohnson.monomials import (ONE, ZERO, EventPoly, canon, monomial_name, mul,
-                                 parse_monomial, poly_mul, var)
+from ugjohnson.monomials import (ONE, ZERO, EventPoly, canon, evaluate, monomial_name,
+                                 mul, parse_monomial, poly_mul, var)
 from ugjohnson.sos import (DegreeExhausted, NearZeroEvent, condition,
                            from_assignment, mixture, moment_matrix, product,
-                           relax, shift_symmetrize, solve, validate, val_poly,
-                           z_poly)
+                           relax, shift_symmetrize, solve, validate, z_poly)
 
 TRIANGLE = ug_core.UGInstance(3, 2, ((0, 1, 1), (1, 2, 1), (0, 2, 1)),
                               tuple([Fraction(1, 3)] * 3))
@@ -87,6 +87,41 @@ def test_validate_flags_corruption(j421_solved):
     rep = validate(bad)
     assert not rep["ok"]
     assert rep["min_eig"] < -sos.TOL_PSD or rep["marginal_min_entry"] < -1e-6
+
+
+def _planted(n, q, eps, seed):
+    return ug_core.plant(johnson.build(n, 2, 0.5), q, ug_core.PlantedSpec(eps, seed))[0]
+
+
+def _warm_table(rel, seed=0):
+    x, _ = sos._local_search(rel.inst, seed)
+    y = sos.assignment_reduced_table(rel.classes, x, rel.inst.q)
+    return {m: float(y[k]) for k, m in enumerate(rel.classes)}
+
+
+def test_over_budget_returns_the_labelled_warm_start(monkeypatch):
+    def no_solver(prob):
+        raise AssertionError("no SDP solver runs over the Schur budget")
+    monkeypatch.setattr(sos, "solve_ipm", no_solver)
+    rel = relax(_planted(8, 2, 0.05, 1000), 4)  # J(8,2,1) q=2: moment side 407
+    pe = solve(rel)
+    info = pe.solve_info
+    assert {k: info[k] for k in ("method", "source", "certified", "iterations", "status")} == {
+        "method": "warm_start", "source": "warm_start", "certified": False,
+        "iterations": 0, "status": "over_budget"}
+    assert math.isnan(info["gap"]) and info["warm_value"] < 1.0
+    assert pe.table == _warm_table(rel)
+    assert info["objective"] == float(rel.problem.c @ np.array(list(pe.table.values())))
+
+
+@pytest.mark.parametrize("n, q, D, source", [(5, 2, 4, "warm_start"), (6, 2, 2, "sdp")])
+def test_solve_info_names_the_source_of_the_table(n, q, D, source):
+    # the first instances of the benchmark's solve_d4 and solve_d2 workloads at seed 1;
+    # at degree 4 the IPM lands within its gap just below the integral warm start
+    rel = relax(_planted(n, q, 0.5, 1000), D)
+    pe = solve(rel)
+    assert (pe.solve_info["method"], pe.solve_info["source"]) == ("ipm", source)
+    assert (pe.table == _warm_table(rel)) == (source == "warm_start")
 
 
 # --------------------------------------------------------------------------
@@ -175,6 +210,53 @@ def test_condition_mixture_selects_component():
     cond = condition(pe, EventPoly({var(0, 0): 1.0}))
     for u in range(4):
         assert cond.moment(var(u, int(xa[u]))) == pytest.approx(1.0)
+
+
+J421 = {q: _planted(4, q, 0.3, 5) for q in (2, 3)}  # 6 vertices
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from((2, 3)), st.data())
+def test_conditioned_mixture_support_matches_moments(q, data):
+    inst = J421[q]
+    k = data.draw(st.integers(1, 3))
+    xs = [np.array(data.draw(st.lists(st.integers(0, q - 1), min_size=6, max_size=6)))
+          for _ in range(k)]
+    ws = data.draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
+    d = mixture([(from_assignment(x, q), w / sum(ws)) for x, w in zip(xs, ws)])
+    u, v = data.draw(st.lists(st.integers(0, 5), min_size=2, max_size=2, unique=True))
+    a, b = data.draw(st.integers(0, q - 1)), data.draw(st.integers(0, q - 1))
+    try:
+        cond = condition(d, EventPoly({mul(var(u, a), var(v, b)): 1.0}))
+    except NearZeroEvent:
+        return
+    support = cond.exact_support()
+    assert cond.exact_support() is support  # computed once per object
+    assert all(x[u] == a and x[v] == b for _, x in support)
+    for p in (sos.val_poly(inst), poly_mul(sos.vertex_val_poly(inst, u),
+                                           sos.vertex_val_poly(inst, v))):
+        want = sum(w * evaluate(p, x) for w, x in support)
+        assert cond.pE(p) == pytest.approx(want, abs=1e-12, rel=0)
+    prod, p = sos.ProductPE(cond, d), sos.vertex_val_and_poly(inst, u)
+    want = sum(w * evaluate(p, x, xp) for w, x, xp in prod.exact_support())
+    assert prod.pE(p) == pytest.approx(want, abs=1e-12, rel=0)
+
+
+def test_surrogate_event_conditions_a_conditioned_distribution():
+    d = mixture([(from_assignment(np.array([0, 1, 0, 1]), 2), 0.5),
+                 (from_assignment(np.array([0, 0, 1, 1]), 2), 0.25),
+                 (from_assignment(np.array([1, 1, 1, 1]), 2), 0.25)])
+    cond = condition(d, EventPoly({var(0, 0): 1.0}))  # the first two at 2/3 and 1/3
+    # 0.75 where x_1 = 1, 0.25 where x_1 = 0: weights 1/2 and 1/12, renormalised
+    ev = EventPoly({ONE: 0.25, var(1, 1): 0.5}, provenance="surrogate")
+    once = condition(cond, ev)
+    assert [w for w, _ in once.exact_support()] == pytest.approx([6 / 7, 1 / 7])
+    assert once.moment(var(1, 1)) == pytest.approx(6 / 7)
+    ev1 = EventPoly({ONE: 0.25, canon([(1, 1, 1)]): 0.5}, provenance="surrogate")
+    via_sos = condition(sos.ProductPE(d, cond), ev1)
+    via_method = sos.ProductPE(d, cond).condition(ev1)
+    m = canon([(1, 1, 1)])
+    assert via_sos.moment(m) == via_method.moment(m) == pytest.approx(6 / 7)
 
 
 def test_condition_degree_bookkeeping(j421_solved):

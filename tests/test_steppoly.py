@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ugjohnson.steppoly import (ConstantStep, StepPolyConstructionError, build,
-                                linear_surrogate, markov_bounds_check, verify)
+from ugjohnson.steppoly import ConstantStep, build, linear_surrogate, markov_bounds_check
 
 
 @pytest.fixture(scope="module")
