@@ -193,17 +193,7 @@ def level_decompose(dom: CayleyDomain, F: np.ndarray) -> LevelDecomposition:
 
 def f_i_fourier(dom: CayleyDomain, F: np.ndarray, i: int) -> np.ndarray:
     """f_{i,F} on [n]^i via Fourier coefficients with the first i indices nonzero."""
-    coeff = np.fft.fftn(F) / F.size
-    sl = tuple([slice(None)] * i + [0] * (dom.ell - i))
-    ci = np.array(coeff[sl], copy=True)
-    if i == 0:
-        return _realify(ci.reshape(()))
-    idx = np.indices((dom.n,) * i)
-    full = np.ones((dom.n,) * i, dtype=bool)
-    for k in range(i):
-        full &= idx[k] != 0
-    ci = np.where(full, ci, 0)
-    return _realify(np.fft.ifftn(ci) * ci.size)
+    return _f_i_raw(F, i)
 
 
 def f_i_restriction(dom: CayleyDomain, F: np.ndarray, i: int) -> np.ndarray:

@@ -161,6 +161,9 @@ def cmd_spectra(args) -> int:
 def cmd_verify(args) -> int:
     from . import verify as V
     if args.suite == "pe":
+        if args.pe_file is None:
+            print("--suite pe needs --pe-file", file=sys.stderr)
+            return 2
         return _verify_pe_file(args)
     suite = {
         "spectra": V.suite_spectra,

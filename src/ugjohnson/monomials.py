@@ -94,6 +94,16 @@ def poly_add(*polys: Poly) -> Poly:
     return {m: c for m, c in out.items() if c != 0.0}
 
 
+def poly_sum(terms: Iterable[tuple[float, Poly]]) -> Poly:
+    """sum_k w_k p_k over (w_k, p_k) terms, keys in order of first appearance;
+    unlike poly_add, zero coefficients are kept."""
+    out: Poly = {}
+    for w, p in terms:
+        for m, c in p.items():
+            out[m] = out.get(m, 0.0) + w * c
+    return out
+
+
 def poly_scale(p: Poly, s: float) -> Poly:
     return {m: c * s for m, c in p.items()}
 

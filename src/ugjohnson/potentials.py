@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb, log, sqrt
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .johnson import JohnsonGraph, Subcube
-from .monomials import ONE, Poly, mul, poly_add, poly_mul, poly_scale, var
-from .sos import (DegreeExhausted, ProductPE, PseudoExpectation, clamp_distribution,
-                  vertex_val_poly, z_poly)
+from .monomials import ONE, Poly, poly_add, poly_mul, poly_scale, var
+from .sos import (CLAMP_NEG, DegreeExhausted, ProductPE, PseudoExpectation,
+                  clamp_distribution, density_poly, shift_poly, vertex_val_poly)
 from .steppoly import StepPoly, linear_surrogate
 from .ug_core import UGInstance, satisfied_mask, vertex_values
 
@@ -270,27 +271,6 @@ class ShiftPartitionSpec:
         return lambda v: np.clip(f(v), 0.0, 1.0)
 
 
-def shift_fn_eval(spec: ShiftPartitionSpec, prod: ProductPE, u: int, s: int) -> float:
-    """pE-moment of F_s(u) (or G_s(u) in plain mode)."""
-    pairs = prod.exact_support()
-    if pairs is not None:
-        p = spec.p_callable()
-        acc = 0.0
-        for w, x, xp in pairs:
-            F = f_parts(spec.inst, x, xp, p, val_within=spec.val_within)
-            acc += w * F[s, u]
-        return acc
-    q = prod.q
-    zp = z_poly(u, s, q)
-    if spec.mode == "plain":
-        return prod.pE(zp)
-    if spec.mode == "surrogate":
-        pu0 = _surrogate_val_poly(spec, u, copy=0)
-        pu1 = _surrogate_val_poly(spec, u, copy=1)
-        return prod.pE(poly_mul(poly_mul(zp, pu0), pu1))
-    raise DegreeExhausted("full step-polynomial moments need the exact support path")
-
-
 def _surrogate_val_poly(spec: ShiftPartitionSpec, u: int, copy: int) -> Poly:
     vp = vertex_val_poly(spec.inst, u, copy=copy, within=spec.val_within)
     scale = 1.0 / (2.0 * spec.nu)
@@ -301,8 +281,9 @@ def _surrogate_val_poly(spec: ShiftPartitionSpec, u: int, copy: int) -> Poly:
 def phi_potential(spec: ShiftPartitionSpec, prod: ProductPE) -> dict:
     """Phi = pE[ sum_s (E_u F_s(u))^2 ] over the configured scope.
 
-    Returns the value together with the representation actually used
-    ('support' exact, or 'plain' G_s moments at limited degree).
+    Returns the value together with the representation actually used:
+    'support' (exact), or 'moments', where plain mode's Phi is
+    sum_s pE[delta(G_s)^2] with the density taken over the scope.
     """
     verts = spec.scope_vertices()
     pairs = prod.exact_support()
@@ -316,33 +297,9 @@ def phi_potential(spec: ShiftPartitionSpec, prod: ProductPE) -> dict:
     if spec.mode != "plain":
         raise DegreeExhausted(
             "squared step-weighted parts exceed the degree budget; use plain mode")
-    q = prod.q
-    acc = 0.0
-    nv = len(verts)
-    for s in range(q):
-        for u in verts:
-            for v in verts:
-                acc += prod.pE(poly_mul(z_poly(u, s, q), z_poly(v, s, q))) / (nv * nv)
+    densities = [density_poly(spec.inst, verts, s) for s in range(prod.q)]
+    acc = sum(prod.pE(poly_mul(d, d)) for d in densities)
     return {"phi": acc, "representation": "moments", "mode": "plain"}
-
-
-def phi_global_restricted(spec: ShiftPartitionSpec, prod: ProductPE,
-                          sub: Subcube) -> dict:
-    """Same as phi_potential but averaging u over the subcube while vertex
-    values are taken in the full graph."""
-    restricted = ShiftPartitionSpec(spec.inst, spec.beta, spec.nu, spec.mode,
-                                    spec.step, scope=tuple(sub.vertex_ids()),
-                                    val_within=None)
-    return phi_potential(restricted, prod)
-
-
-def shift_indicator_poly(v: int, u: int, s: int, q: int, copy: int = 0) -> Poly:
-    """1(X_v - X_u = s) as a degree-2 polynomial in one copy."""
-    out: Poly = {}
-    for a in range(q):
-        m = mul(var(v, a, copy), var(u, (a - s) % q, copy))
-        out[m] = out.get(m, 0.0) + 1.0
-    return out
 
 
 def psi_potential(pe: PseudoExpectation, inst: UGInstance,
@@ -365,7 +322,7 @@ def psi_potential(pe: PseudoExpectation, inst: UGInstance,
                 acc += pe.pE(vp)
                 continue
             for s in range(q):
-                ind = shift_indicator_poly(v, u, s, q)
+                ind = shift_poly(v, u, s, q)
                 pr = pe.pE(ind)
                 if pr < NEAR_ZERO_PSI:
                     continue
@@ -389,13 +346,12 @@ class LocalDistributionCollection:
     spec: ShiftPartitionSpec
     joints: dict = field(default_factory=dict)
     flags: dict = field(default_factory=dict)
-    clamp_policy: float = 1e-8
 
     def joint(self, slots: tuple[Slot, ...]) -> np.ndarray:
         key = tuple(slots)
         if key in self.joints:
             return self.joints[key]
-        arr, flag = _build_joint(self.prod, self.spec, slots, self.clamp_policy)
+        arr, flag = _build_joint(self.prod, self.spec, slots)
         self.joints[key] = arr
         self.flags[key] = flag
         return arr
@@ -471,8 +427,8 @@ def _accumulate(slots: tuple[Slot, ...], sizes: tuple[int, ...], cells) -> np.nd
     return arr
 
 
-def _build_joint(prod: ProductPE, spec: ShiftPartitionSpec, slots: tuple[Slot, ...],
-                 clamp_policy: float) -> tuple[np.ndarray, str]:
+def _build_joint(prod: ProductPE, spec: ShiftPartitionSpec, slots: tuple[Slot, ...]
+                 ) -> tuple[np.ndarray, str]:
     sizes = tuple(prod.q if k in ("X", "Xp") else 2 for k, _ in slots)
     # the moment path needs the X-slots, and two degrees per side for the
     # surrogate of any p-slot on that side, within the side budgets
@@ -497,15 +453,14 @@ def _build_joint(prod: ProductPE, spec: ShiftPartitionSpec, slots: tuple[Slot, .
             if k == 0:
                 raise DegreeExhausted("a single slot exceeds the degree budget")
             slots0, slots1 = slots[:k], slots[k:]
-        a0, _ = _build_joint(prod, spec, slots0, clamp_policy)
-        a1, _ = _build_joint(prod, spec, slots1, clamp_policy)
+        a0, _ = _build_joint(prod, spec, slots0)
+        a1, _ = _build_joint(prod, spec, slots1)
         arr = np.multiply.outer(a0, a1)
         order = list(slots0) + list(slots1)
         perm = [order.index(s) for s in slots]
         arr = np.transpose(arr, perm)
         flag = "factorized"
-    flat = clamp_distribution(arr.ravel(), policy=max(
-        clamp_policy, 1e-6 if flag != "moments" else clamp_policy))
+    flat = clamp_distribution(arr.ravel(), policy=CLAMP_NEG if flag == "moments" else 1e-6)
     return flat.reshape(sizes), flag
 
 
@@ -517,6 +472,21 @@ def y_slots(u: int, v: int, primed: bool, with_p: bool) -> tuple[Slot, ...]:
     if with_p:
         s += [(ps, u), (ps, v)]
     return tuple(s)
+
+
+@lru_cache(maxsize=16)
+def _disjoint_pair_indices(k: int) -> np.ndarray:
+    """Read-only rows (p1, p2), p1 < p2 in itertools.combinations order, of the
+    index pairs into itertools.combinations(range(k), 2) whose two vertex pairs
+    share no vertex; it depends only on k, so it is built once per size
+    (61,425 rows at k = 28)."""
+    pairs = np.asarray(list(itertools.combinations(range(k), 2)), dtype=np.int64).reshape(-1, 2)
+    i, j = np.triu_indices(len(pairs), 1)
+    a, b = pairs[i], pairs[j]
+    disjoint = (a[:, :1] != b).all(axis=1) & (a[:, 1:] != b).all(axis=1)
+    out = np.column_stack([i[disjoint], j[disjoint]])
+    out.flags.writeable = False
+    return out
 
 
 @dataclass
@@ -538,9 +508,8 @@ def pairwise_mi(coll: LocalDistributionCollection, S: Sequence[int],
     """
     rng = np.random.default_rng(seed)
     S = list(S)
-    pairs = [(u, v) for u, v in itertools.combinations(S, 2)]
-    combos = [(p1, p2) for p1, p2 in itertools.combinations(range(len(pairs)), 2)
-              if not set(pairs[p1]) & set(pairs[p2])]
+    pairs = list(itertools.combinations(S, 2))
+    combos = _disjoint_pair_indices(len(S))
     if len(combos) > max_pairs:
         take = rng.choice(len(combos), size=max_pairs, replace=False)
         combos = [combos[int(t)] for t in take]

@@ -22,16 +22,17 @@ import numpy as np
 from . import potentials as pot
 from . import sos
 from .johnson import Subcube
-from .monomials import EventPoly, ONE, Poly, mul, poly_add, poly_mul, var
+from .monomials import EventPoly, ONE, Poly, mul, poly_add, poly_mul, poly_sum, var
 from .potentials import (LocalDistributionCollection, ShiftPartitionSpec,
                          pairwise_mi, tv_distance, y_slots)
 from .sos import (DegreeExhausted, NearZeroEvent, ProductPE, PseudoExpectation,
-                  condition, product, shift_symmetrize, z_poly)
+                  condition, density_poly, product, shift_symmetrize, z_poly)
 from .ug_core import (UGInstance, edges_inside, randomize_edges, satisfied_mask,
                       value as ug_value)
 
 TV_EXCEEDANCE_CONST = 16.0   # instantiated O(.) constant in the TV-exceedance bound
 ROUND_J_CONST = 2.0          # instantiated O(delta + zeta) constant in the rounding guarantee
+ANCHOR_FLOOR = 1e-9          # Condition&Round skips an anchor u with pE[X_u = 0] below this
 
 
 class NoDenseSubcube(RuntimeError):
@@ -123,8 +124,7 @@ class RoundingTrace:
 
 def condition_and_round(pe: PseudoExpectation, inst: UGInstance,
                         scope: Optional[Sequence[int]] = None,
-                        anchor_budget: int = 32,
-                        floor: float = 1e-9) -> tuple[np.ndarray, dict]:
+                        anchor_budget: int = 32) -> tuple[np.ndarray, dict]:
     """Derandomized Condition&Round: for each anchor u condition on X_u = 0
     and give every vertex the argmax label of its conditional marginal; return
     the best assignment over anchors (max >= mean of the randomized variant)."""
@@ -136,7 +136,7 @@ def condition_and_round(pe: PseudoExpectation, inst: UGInstance,
     failures = 0
     for u in anchors:
         z = pe.moment(var(u, 0))
-        if z < floor:
+        if z < ANCHOR_FLOOR:
             failures += 1
             continue
         x = np.zeros(inst.vertex_count, dtype=np.int64)
@@ -171,26 +171,13 @@ def _scoped_value(inst: UGInstance, x: np.ndarray, within: Optional[set]) -> flo
 # density events over subcubes
 
 
-def density_poly(inst: UGInstance, sub_ids: Sequence[int], s: int) -> Poly:
-    """delta(G_s|_a) = E_{u in J|_a} Z_{u,s} as a (1,1)-degree polynomial."""
-    out: Poly = {}
-    w = 1.0 / len(sub_ids)
-    for u in sub_ids:
-        for m, c in z_poly(int(u), s, inst.q).items():
-            out[m] = out.get(m, 0.0) + w * c
-    return out
-
-
 def both_sat_density_poly(inst: UGInstance, sub_ids: Sequence[int], s: int) -> Poly:
     """E_{u in J|_a}[G_s(u) val^a_u(X and X')], degree (3,3)."""
     within = set(int(u) for u in sub_ids)
-    out: Poly = {}
     w = 1.0 / len(sub_ids)
-    for u in sub_ids:
-        acc = sos.vertex_val_and_poly(inst, int(u), within)
-        for m, c in poly_mul(z_poly(int(u), s, inst.q), acc).items():
-            out[m] = out.get(m, 0.0) + w * c
-    return out
+    return poly_sum((w, poly_mul(z_poly(int(u), s, inst.q),
+                                 sos.vertex_val_and_poly(inst, int(u), within)))
+                    for u in sub_ids)
 
 
 def find_event_subcube(inst: UGInstance, prod: ProductPE, cfg: RoundingConfig
@@ -271,9 +258,8 @@ def find_event_subcube(inst: UGInstance, prod: ProductPE, cfg: RoundingConfig
 # Raghavendra-Tan style global-correlation reduction
 
 
-def _avg_mi(pe: PseudoExpectation, inst: UGInstance, S: Sequence[int],
-            cfg: RoundingConfig, spec: ShiftPartitionSpec, primed: bool,
-            prod_for_coll: ProductPE) -> float:
+def _avg_mi(S: Sequence[int], cfg: RoundingConfig, spec: ShiftPartitionSpec,
+            primed: bool, prod_for_coll: ProductPE) -> float:
     coll = LocalDistributionCollection(prod_for_coll, spec)
     stats = pairwise_mi(coll, S, primed=primed, with_p=cfg.include_p_slots,
                         max_pairs=cfg.mi_pair_budget, seed=cfg.seed)
@@ -302,7 +288,7 @@ def rt_reduce(pe: PseudoExpectation, inst: UGInstance, S: Sequence[int],
 
     def current_mi(side: int) -> float:
         prod = ProductPE(mu[0], mu[1])
-        return _avg_mi(mu[side], inst, S, cfg, spec, primed=(side == 1), prod_for_coll=prod)
+        return _avg_mi(S, cfg, spec, primed=(side == 1), prod_for_coll=prod)
 
     try:
         mis = [current_mi(0), current_mi(1)]
@@ -346,12 +332,11 @@ def rt_reduce(pe: PseudoExpectation, inst: UGInstance, S: Sequence[int],
                     continue
                 mu_try = list(mu)
                 mu_try[side] = cand
-                p_now = ProductPE(mu_try[0], mu_try[1]).pE(E.poly)
+                prod_try = ProductPE(mu_try[0], mu_try[1])
+                p_now = prod_try.pE(E.poly)
                 if p_now < p_floor / 2:
                     continue
-                prod_try = ProductPE(mu_try[0], mu_try[1])
-                mi_new = _avg_mi(mu_try[side], inst, S, cfg, spec,
-                                 primed=(side == 1), prod_for_coll=prod_try)
+                mi_new = _avg_mi(S, cfg, spec, primed=(side == 1), prod_for_coll=prod_try)
                 if mi_new < mis[side] - 1e-12:
                     mu = mu_try
                     mis[side] = mi_new

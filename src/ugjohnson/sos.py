@@ -23,8 +23,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import monomials as mon
-from .monomials import (EventPoly, Monomial, ONE, ZERO, Poly, canon, mul,
-                        poly_add, poly_mul, poly_scale, var)
+from .monomials import (EventPoly, Monomial, ONE, ZERO, Poly, canon, mul, poly_mul,
+                        poly_sum, var)
 from .sdp import MomentSDP, solve_ipm
 from .ug_core import UGInstance, value as ug_value
 
@@ -106,33 +106,20 @@ class PseudoExpectation:
 
 
 def val_poly(inst: UGInstance, copy: int = 0) -> Poly:
-    out: Poly = {}
-    for (u, v, b), w in zip(inst.edges, inst.weight_array().tolist()):
-        for a in range(inst.q):
-            m = mul(var(u, (a + b) % inst.q, copy), var(v, a, copy))
-            out[m] = out.get(m, 0.0) + w
-    return out
+    return poly_sum((w, edge_sat_poly(inst, k, copy))
+                    for k, w in enumerate(inst.weight_array().tolist()))
 
 
 def vertex_val_poly(inst: UGInstance, u: int, copy: int = 0,
                     within: Optional[set] = None) -> Poly:
     """val_u(X) over the edges of u inside `within`, degree 2."""
-    out: Poly = {}
-    for k, c in inst.scoped_edges(u, within):
-        (a_, b_, s) = inst.edges[k]
-        for a in range(inst.q):
-            m = mul(var(a_, (a + s) % inst.q, copy), var(b_, a, copy))
-            out[m] = out.get(m, 0.0) + c
-    return out
+    return poly_sum((c, edge_sat_poly(inst, k, copy)) for k, c in inst.scoped_edges(u, within))
 
 
 def vertex_val_and_poly(inst: UGInstance, u: int, within: Optional[set] = None) -> Poly:
     """val_u(X and X') over the edges of u inside `within`, degree (2,2)."""
-    out: Poly = {}
-    for k, c in inst.scoped_edges(u, within):
-        term = poly_mul(edge_sat_poly(inst, k, copy=0), edge_sat_poly(inst, k, copy=1))
-        out = poly_add(out, poly_scale(term, c))
-    return out
+    return poly_sum((c, poly_mul(edge_sat_poly(inst, k, 0), edge_sat_poly(inst, k, 1)))
+                    for k, c in inst.scoped_edges(u, within))
 
 
 # ---------------------------------------------------------------------------
@@ -240,16 +227,15 @@ class SolvedPE(PseudoExpectation):
 class ConditionedPE(PseudoExpectation):
     """Single-copy reweighting pE'[m] = pE[m s] / pE[s]."""
 
-    def __init__(self, base: PseudoExpectation, event: EventPoly,
-                 floor: float = FLOOR_COND):
+    def __init__(self, base: PseudoExpectation, event: EventPoly):
         if base.mode != "single":
             raise ValueError("ConditionedPE is single-copy; condition products directly")
         d = mon.poly_degree(event.poly)
         if d > base.degree - 2:
             raise DegreeExhausted(f"event degree {d} > D - 2 = {base.degree - 2}")
         z = base.pE(event.poly)
-        if z < floor:
-            raise NearZeroEvent(f"pE[event] = {z} below floor {floor}")
+        if z < FLOOR_COND:
+            raise NearZeroEvent(f"pE[event] = {z} below floor {FLOOR_COND}")
         self.base, self.event, self.z = base, event, z
         self.q, self.n_vertices = base.q, base.n_vertices
         self.mode = "single"
@@ -307,13 +293,12 @@ def _check_provenance(pe: PseudoExpectation, event: EventPoly) -> None:
         raise ValidityError("conditioning requires a [0,1]-provenance event")
 
 
-def condition(pe: PseudoExpectation, event: EventPoly,
-              floor: float = FLOOR_COND) -> PseudoExpectation:
+def condition(pe: PseudoExpectation, event: EventPoly) -> PseudoExpectation:
     """Reweighting by a [0,1]-provenance event; the SoS analogue of conditioning."""
     if pe.mode == "product":
-        return pe.condition(event, floor=floor)  # type: ignore[attr-defined]
+        return pe.condition(event)  # type: ignore[attr-defined]
     _check_provenance(pe, event)
-    return ConditionedPE(pe, event, floor=floor)
+    return ConditionedPE(pe, event)
 
 
 class ShiftSymmetrizedPE(PseudoExpectation):
@@ -368,7 +353,7 @@ class ProductPE(PseudoExpectation):
     reweighted by mixed events (the conditioned object after SubRound's step)."""
 
     def __init__(self, pe1: PseudoExpectation, pe2: Optional[PseudoExpectation] = None,
-                 events: Sequence[EventPoly] = (), floor: float = FLOOR_COND):
+                 events: Sequence[EventPoly] = ()):
         self.pe1 = pe1
         self.pe2 = pe2 if pe2 is not None else pe1
         if self.pe1.mode != "single" or self.pe2.mode != "single":
@@ -388,8 +373,8 @@ class ProductPE(PseudoExpectation):
                 w = poly_mul(w, e.poly)
             self._w = w
             self._z = self._raw_pE_poly(w)
-            if self._z < floor:
-                raise NearZeroEvent(f"pE[conditioning events] = {self._z} below {floor}")
+            if self._z < FLOOR_COND:
+                raise NearZeroEvent(f"pE[conditioning events] = {self._z} below {FLOOR_COND}")
 
     @property
     def degree(self) -> int:
@@ -443,9 +428,9 @@ class ProductPE(PseudoExpectation):
         self._cache[m] = out
         return out
 
-    def condition(self, event: EventPoly, floor: float = FLOOR_COND) -> "ProductPE":
+    def condition(self, event: EventPoly) -> "ProductPE":
         _check_provenance(self, event)
-        return ProductPE(self.pe1, self.pe2, events=self.events + [event], floor=floor)
+        return ProductPE(self.pe1, self.pe2, events=self.events + [event])
 
     def marginal_pe(self, copy: int) -> PseudoExpectation:
         return ProductMarginalPE(self, copy)
@@ -474,21 +459,38 @@ def product(pe: PseudoExpectation) -> ProductPE:
 
 
 # ---------------------------------------------------------------------------
-# Z variables (shift indicators between the two copies)
+# shift indicators: edge satisfaction, Z variables and densities
 
 
-def z_poly(u: int, s: int, q: int) -> Poly:
-    """Z_{u,s} = sum_a X_{u,a} X'_{u,a-s}: on integral pairs the indicator of
-    x(u) - x'(u) = s, i.e. membership of u in the shift-partition part G_s."""
+def shift_poly(u: int, v: int, s: int, q: int, cu: int = 0, cv: int = 0) -> Poly:
+    """sum_a X^{cu}_{u,a+s} X^{cv}_{v,a} (copy cu at u, copy cv at v): on
+    integral points the indicator of x(u) - x(v) = s.  Every edge, Z and
+    shift-indicator polynomial of the program is built here."""
     out: Poly = {}
     for a in range(q):
-        m = mul(var(u, a, 0), var(u, (a - s) % q, 1))
+        m = mul(var(u, (a + s) % q, cu), var(v, a, cv))
         out[m] = out.get(m, 0.0) + 1.0
     return out
 
 
-def z_identities_report(prod: ProductPE, inst: UGInstance,
-                        edge_samples: int = 12, seed: int = 0) -> dict:
+def edge_sat_poly(inst: UGInstance, edge_idx: int, copy: int = 0) -> Poly:
+    (u, v, b) = inst.edges[edge_idx]
+    return shift_poly(u, v, b, inst.q, copy, copy)
+
+
+def z_poly(u: int, s: int, q: int) -> Poly:
+    """Z_{u,s} = sum_a X_{u,a+s} X'_{u,a}: on integral pairs the indicator of
+    x(u) - x'(u) = s, i.e. membership of u in the shift-partition part G_s."""
+    return shift_poly(u, u, s, q, 0, 1)
+
+
+def density_poly(inst: UGInstance, sub_ids: Sequence[int], s: int) -> Poly:
+    """delta(G_s|_a) = E_{u in J|_a} Z_{u,s} as a (1,1)-degree polynomial."""
+    w = 1.0 / len(sub_ids)
+    return poly_sum((w, z_poly(int(u), s, inst.q)) for u in sub_ids)
+
+
+def z_identities_report(prod: ProductPE, inst: UGInstance, seed: int = 0) -> dict:
     """Residuals of the three shift-variable identities (Booleanity, partition,
     crossing-edge annihilation) on the given product pseudoexpectation."""
     rng = np.random.default_rng(seed)
@@ -503,7 +505,7 @@ def z_identities_report(prod: ProductPE, inst: UGInstance,
         part_res = max(part_res, abs(sum(prod.pE(z_poly(int(u), s, q))
                                          for s in range(q)) - 1.0))
     cross_res = 0.0
-    m_edges = min(edge_samples, inst.num_edges)
+    m_edges = min(12, inst.num_edges)
     eidx = rng.choice(inst.num_edges, size=m_edges, replace=False)
     for k in eidx:
         (u, v, b) = inst.edges[int(k)]
@@ -514,15 +516,6 @@ def z_identities_report(prod: ProductPE, inst: UGInstance,
             p = poly_mul(poly_mul(z_poly(u, s, q), z_poly(v, sp, q)), poly_mul(y, yp))
             cross_res = max(cross_res, abs(prod.pE(p)))
     return {"booleanity": bool_res, "partition": part_res, "crossing": cross_res}
-
-
-def edge_sat_poly(inst: UGInstance, edge_idx: int, copy: int = 0) -> Poly:
-    (u, v, b) = inst.edges[edge_idx]
-    out: Poly = {}
-    for a in range(inst.q):
-        m = mul(var(u, (a + b) % inst.q, copy), var(v, a, copy))
-        out[m] = out.get(m, 0.0) + 1.0
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -643,8 +636,7 @@ def relax(inst: UGInstance, D: int) -> Relaxation:
     return Relaxation(inst, D, classes, prob)
 
 
-def _local_search(inst: UGInstance, seed: int, restarts: int = 4,
-                  sweeps: int = 40) -> tuple[np.ndarray, float]:
+def _local_search(inst: UGInstance, seed: int) -> tuple[np.ndarray, float]:
     """Deterministic warm-start search: spanning-tree propagation plus
     iterated per-vertex improvement from seeded random starts."""
     rng = np.random.default_rng(seed)
@@ -670,12 +662,12 @@ def _local_search(inst: UGInstance, seed: int, restarts: int = 4,
                     x[v] = (x[u] - sgn * b) % q
                     stack.append(v)
     candidates.append(x.copy())
-    for _ in range(restarts):
+    for _ in range(4):
         candidates.append(rng.integers(0, q, size=n))
     best_x, best_v = None, -1.0
     for x0 in candidates:
         x = x0.copy()
-        for _ in range(sweeps):
+        for _ in range(40):
             changed = False
             for u in range(n):
                 scores = np.zeros(q)
@@ -740,16 +732,44 @@ def moment_matrix(pe: PseudoExpectation, half_degree: Optional[int] = None,
     return basis_matrix(pe.n_vertices, pe.q, d, False, pe.moment), list(basis)
 
 
-def validate(pe: PseudoExpectation, side_cap: int = 1800, seed: int = 0,
-             marginal_pairs: int = 40) -> dict:
+_INVARIANTS = ("scaling_residual", "partition_residual", "booleanity_residual",
+              "marginal_sum_residual", "psd", "marginal_nonneg")
+
+
+def validate(pe: PseudoExpectation, side_cap: int = 1800, seed: int = 0) -> dict:
     """Scaling, PSD, partition/Booleanity residuals, and marginal sanity.
 
-    rep["failed"] names the invariants that do not hold; rep["ok"] is true
-    when it is empty."""
-    rng = np.random.default_rng(seed)
+    A product is checked on both marginals: each residual reports the worse
+    copy, and an invariant fails when it fails on either.  rep["failed"]
+    names the invariants that do not hold; rep["ok"] is true when it is empty."""
+    rng = np.random.default_rng(seed)  # copy 0 draws first, as a single copy does
     rep: dict = {"mode": pe.mode, "degree": pe.degree}
     rep["scaling_residual"] = abs(pe.moment(ONE) - 1.0)
-    target = pe if pe.mode == "single" else pe.marginal_pe(0)  # type: ignore
+    failed = set() if rep["scaling_residual"] <= 1e-6 else {"scaling_residual"}
+    targets = ([pe] if pe.mode == "single"
+               else [pe.marginal_pe(0), pe.marginal_pe(1)])  # type: ignore[attr-defined]
+    for target in targets:
+        part, part_failed = _single_copy_checks(target, side_cap, rng)
+        failed |= part_failed
+        for key, val in part.items():
+            rep[key] = _worse(key, rep[key], val) if key in rep else val
+    rep["failed"] = [name for name in _INVARIANTS if name in failed]
+    rep["ok"] = not rep["failed"]
+    return rep
+
+
+def _worse(key: str, a, b):
+    """The worse of two copies' report entries; None (not measured) yields."""
+    if a is None or b is None:
+        return b if a is None else a
+    return min(a, b) if key in ("min_eig", "marginal_min_entry") else max(a, b)
+
+
+def _single_copy_checks(target: PseudoExpectation, side_cap: int,
+                        rng: np.random.Generator) -> tuple[dict, set]:
+    """validate's checks on one single-copy pseudoexpectation: its report
+    entries and the names of the invariants that fail on it."""
+    rep: dict = {}
     M = None
     try:
         M = moment_matrix(target, side_cap=side_cap)[0]
@@ -764,7 +784,7 @@ def validate(pe: PseudoExpectation, side_cap: int = 1800, seed: int = 0,
     rep["moment_matrix_side"] = None if M is None else len(M)
     part = 0.0
     boolres = 0.0
-    n, q = pe.n_vertices, pe.q
+    n, q = target.n_vertices, target.q
     probe_monomials: list[Monomial] = [ONE]
     max_extra = max(0, min(target.degree - 1, 2))
     for _ in range(12):
@@ -786,7 +806,7 @@ def validate(pe: PseudoExpectation, side_cap: int = 1800, seed: int = 0,
     worst_neg, worst_sum = 0.0, 0.0
     if target.degree >= 2:
         pairs = list(itertools.combinations(range(n), 2))
-        take = rng.choice(len(pairs), size=min(marginal_pairs, len(pairs)), replace=False)
+        take = rng.choice(len(pairs), size=min(40, len(pairs)), replace=False)
         for t in take:
             u, v = pairs[int(t)]
             Mm = target.pair_marginal(u, v)
@@ -794,15 +814,12 @@ def validate(pe: PseudoExpectation, side_cap: int = 1800, seed: int = 0,
             worst_sum = max(worst_sum, abs(float(Mm.sum()) - 1.0))
     rep["marginal_min_entry"] = worst_neg
     rep["marginal_sum_residual"] = worst_sum
-    holds = {"scaling_residual": rep["scaling_residual"] <= 1e-6,
-             "partition_residual": part <= 1e-6,
+    holds = {"partition_residual": part <= 1e-6,
              "booleanity_residual": boolres <= 1e-6,
              "marginal_sum_residual": worst_sum <= 1e-6,
              "psd": rep["min_eig"] is None or rep["min_eig"] >= -TOL_PSD,
              "marginal_nonneg": worst_neg >= -1e-6}
-    rep["failed"] = [name for name, ok in holds.items() if not ok]
-    rep["ok"] = not rep["failed"]
-    return rep
+    return rep, {name for name, ok in holds.items() if not ok}
 
 
 def clamp_distribution(vec: np.ndarray, policy: float = CLAMP_NEG) -> np.ndarray:

@@ -196,43 +196,6 @@ def build(beta: float, nu: float) -> StepPoly:
         f"no verified polynomial up to degree {d_max}: {last_report}")
 
 
-def compose_val(p, inst, u: int, mode: str = "vertex", copy: int = 0,
-                within=None, side_budget: int = 4):
-    """p composed with a vertex value, as a conditioning-grade event.
-
-    mode 'vertex' uses val_u(X); 'both' uses val_u(X and X') (the primed copy
-    weighed in).  The returned EventPoly carries a within-budget polynomial
-    (the full expansion only when deg(p) * deg(val) fits, which desk-scale
-    budgets never allow for real step polynomials, else the degree-1
-    surrogate, flagged) plus an `exact_eval(x[, xp])` callable evaluating the
-    literal composition on integral assignments.
-    """
-    from .monomials import ONE, EventPoly, poly_add, poly_scale
-    from .sos import vertex_val_and_poly, vertex_val_poly
-
-    beta, nu = p.beta, p.nu
-    if mode == "both":
-        val = vertex_val_and_poly(inst, u, within)
-    else:
-        val = vertex_val_poly(inst, u, copy=copy, within=within)
-    # verified step polynomials have degree >= ~300, so the full composition
-    # (degree deg(p) * deg(val)) never fits a desk-scale moment budget; the
-    # moment-side polynomial is always the flagged degree-1 surrogate, while
-    # exact_eval below provides the literal composition on integral points
-    surrogate = poly_add(poly_scale(val, 1.0 / (2 * nu)),
-                         {ONE: (nu - beta) / (2 * nu)})
-    ev = EventPoly(surrogate, provenance="surrogate",
-                   description=f"p_{beta},{nu}(val_{u}) deg-1 surrogate")
-
-    def exact_eval(x, xp=None):
-        from .monomials import evaluate
-        v = evaluate(val, x, xp)
-        return float(p(v))
-
-    ev.exact_eval = exact_eval
-    return ev
-
-
 def linear_surrogate(beta: float, nu: float):
     """Degree-1 truncation-mode stand-in (x - beta + nu) / (2 nu), clip semantics.
 

@@ -60,6 +60,11 @@ def test_verify_suites_exit_codes():
     assert main(["verify", "--suite", "nonsense"]) == 2
 
 
+def test_verify_pe_without_a_file_exits_2(capsys):
+    assert main(["verify", "--suite", "pe"]) == 2
+    assert "--pe-file" in capsys.readouterr().err
+
+
 def test_verify_pe_fault_injection(tmp_path):
     inst = tmp_path / "inst.json"
     main(["generate", "--n", "5", "--l", "2", "--alpha", "0.5", "--q", "2",

@@ -5,13 +5,14 @@ import pytest
 
 from ugjohnson import johnson, sos, steppoly, ug_core
 from ugjohnson.monomials import EventPoly
+from ugjohnson.monomials import evaluate
 from ugjohnson.potentials import (LocalDistributionCollection, ShiftPartitionSpec,
-                                  potential_restriction_check, data_processing_check,
-                                  default_eps_schedule, dense_subcube_indicators,
-                                  edge_cover_decompose, g_parts,
-                                  mutual_information, pairwise_mi, phi_global_restricted,
-                                  phi_integral, phi_potential, pinsker_check,
-                                  psi_potential, shift_fn_eval, y_slots)
+                                  _surrogate_val_poly, potential_restriction_check,
+                                  data_processing_check, default_eps_schedule,
+                                  dense_subcube_indicators, edge_cover_decompose, g_parts,
+                                  mutual_information, pairwise_mi, phi_integral,
+                                  phi_potential, pinsker_check, psi_potential, y_slots)
+from ugjohnson.steppoly import linear_surrogate
 
 
 @pytest.fixture(scope="module")
@@ -24,32 +25,6 @@ def setup():
 
 # --------------------------------------------------------------------------
 # shift functions and potentials
-
-
-def test_shift_fn_integral_pair(setup):
-    g, inst, A, p = setup
-    pe = sos.from_assignment(A, 2)
-    prod = sos.ProductPE(pe, pe)
-    spec = ShiftPartitionSpec(inst, 0.3, 0.1, mode="steppoly", step=p)
-    for u in range(5):
-        assert shift_fn_eval(spec, prod, u, 0) >= (1 - 0.1) ** 2
-        assert shift_fn_eval(spec, prod, u, 1) == 0.0
-    # plain mode: sum over shifts is exactly 1
-    spec_g = ShiftPartitionSpec(inst, 0.3, 0.1, mode="plain")
-    for u in range(5):
-        assert sum(shift_fn_eval(spec_g, prod, u, s) for s in range(2)) == \
-            pytest.approx(1.0)
-
-
-def test_shift_fn_integral_shift_parts(setup):
-    g, inst, A, _ = setup
-    xp = (A + 1) % 2
-    prod = sos.ProductPE(sos.from_assignment(A, 2), sos.from_assignment(xp, 2))
-    spec = ShiftPartitionSpec(inst, 0.3, 0.1, mode="plain")
-    for u in range(10):
-        s = (A[u] - xp[u]) % 2
-        assert shift_fn_eval(spec, prod, u, s) == pytest.approx(1.0)
-        assert shift_fn_eval(spec, prod, u, (s + 1) % 2) == pytest.approx(0.0)
 
 
 def test_phi_examples(setup):
@@ -72,9 +47,6 @@ def test_phi_global_restricted_full_graph_equals_phi(setup):
     g, inst, A, p = setup
     prod = sos.ProductPE(sos.from_assignment(A, 2), sos.from_assignment(A, 2))
     spec = ShiftPartitionSpec(inst, 0.3, 0.1, mode="steppoly", step=p)
-    sub = johnson.subcube(g, (0,))
-    rep = phi_global_restricted(spec, prod, sub)
-    assert rep["phi"] >= (1 - 0.1) ** 4 - 1e-12  # planted pair stays dense
     full_scope = ShiftPartitionSpec(inst, 0.3, 0.1, mode="steppoly", step=p,
                                     scope=tuple(range(10)))
     assert phi_potential(full_scope, prod)["phi"] == pytest.approx(
@@ -287,8 +259,7 @@ def test_sum_of_part_densities_is_one(setup):
     assert G.sum(axis=0).max() == 1.0 and G.sum(axis=0).min() == 1.0
     pe = sos.solve(sos.relax(inst, 4))
     prod = sos.product(pe)
-    spec = ShiftPartitionSpec(inst, 0.3, 0.1, mode="plain")
-    tot = sum(shift_fn_eval(spec, prod, 0, s) for s in range(2))
+    tot = sum(prod.pE(sos.z_poly(0, s, 2)) for s in range(2))
     assert tot == pytest.approx(1.0, abs=1e-8)
 
 
@@ -302,33 +273,24 @@ def test_default_eps_schedule_preconditions():
 
 
 # --------------------------------------------------------------------------
-# composed step events, report schemas, interface dumps
+# the surrogate step event
 
 
-def test_compose_val_exact_eval(setup):
+def test_surrogate_val_poly_is_linear_surrogate(setup):
+    # the degree-1 surrogate polynomial evaluates to linear_surrogate of the
+    # vertex value on integral assignments, on either copy
     g, inst, A, p = setup
-    from ugjohnson.steppoly import compose_val, linear_surrogate
-    ev = compose_val(p, inst, 0)
-    assert ev.exact_eval(A) >= 1 - p.nu          # vertex value 1 on satisfied
-    bad = (A + np.arange(10) % 2) % 2            # break many constraints at 0
-    v0 = ug_core.vertex_values(inst, ug_core.satisfied_mask(inst, bad))[0]
-    assert ev.exact_eval(bad) == pytest.approx(float(p(v0)))
-    if v0 <= p.beta:
-        assert ev.exact_eval(bad) <= p.nu + 1e-9
-    # truncation-mode polynomial equals the linear surrogate exactly
+    spec = ShiftPartitionSpec(inst, p.beta, p.nu, mode="surrogate")
     f = linear_surrogate(p.beta, p.nu)
-    from ugjohnson.monomials import evaluate
-    assert evaluate(ev.poly, A) == pytest.approx(float(f(1.0)))
-    assert ev.provenance == "surrogate"
-
-
-def test_compose_val_both_mode(setup):
-    g, inst, A, p = setup
-    from ugjohnson.steppoly import compose_val
-    ev = compose_val(p, inst, 0, mode="both")
-    assert ev.exact_eval(A, A) >= 1 - p.nu
-    xp = (A + 1) % 2
-    assert ev.exact_eval(A, xp) >= 1 - p.nu      # global shift keeps both-sat
+    bad = (A + np.arange(10) % 2) % 2            # break many constraints at 0
+    for x in (A, bad):
+        vals = ug_core.vertex_values(inst, ug_core.satisfied_mask(inst, x))
+        for u in (0, 3):
+            assert evaluate(_surrogate_val_poly(spec, u, copy=0), x) == pytest.approx(
+                float(f(vals[u])))
+            assert evaluate(_surrogate_val_poly(spec, u, copy=1), x, x) == pytest.approx(
+                float(f(vals[u])))
+    assert evaluate(_surrogate_val_poly(spec, 0, copy=0), A) == pytest.approx(float(f(1.0)))
 
 
 def test_data_processing_on_extracted_locals(setup):

@@ -89,6 +89,20 @@ def test_validate_flags_corruption(j421_solved):
     assert rep["min_eig"] < -sos.TOL_PSD or rep["marginal_min_entry"] < -1e-6
 
 
+def test_validate_checks_both_copies_of_a_product(j421_solved):
+    _, _, _, pe = j421_solved
+    table = dict(pe.table)
+    key = next(m for m in table if len(m) == 1)
+    table[key] += 1.0
+    bad = sos.SolvedPE(pe.n_vertices, pe.q, pe.degree, table)
+    assert validate(sos.ProductPE(pe, pe))["ok"]
+    alone = validate(bad)
+    for prod in (sos.ProductPE(pe, bad), sos.ProductPE(bad, pe)):
+        rep = validate(prod)
+        assert not rep["ok"] and "psd" in rep["failed"], rep
+        assert rep["min_eig"] == pytest.approx(alone["min_eig"], abs=1e-12)
+
+
 def _planted(n, q, eps, seed):
     return ug_core.plant(johnson.build(n, 2, 0.5), q, ug_core.PlantedSpec(eps, seed))[0]
 
