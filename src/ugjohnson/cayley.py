@@ -221,11 +221,8 @@ def restriction_recursion_residual(dom: CayleyDomain, F: np.ndarray, i: int) -> 
     fip1 = f_i_fourier(dom, F, i + 1)
     fi = f_i_fourier(dom, F, i)
     worst = 0.0
-    for a in range(dom.n):
-        if dom.ell - 1 >= 1:
-            fa = _f_i_raw(F[a], i)
-        else:
-            fa = np.asarray(float(F[a]))
+    for a in range(dom.n):  # F[a] has ell - 1 >= 1 axes: the domain forces ell >= 2
+        fa = _f_i_raw(F[a], i)
         worst = max(worst, float(np.abs(np.asarray(fip1[a]) - (fa - fi)).max()))
     return worst
 

@@ -344,16 +344,11 @@ class LocalDistributionCollection:
     pseudoexpectation and a step polynomial (or its surrogate)."""
     prod: ProductPE
     spec: ShiftPartitionSpec
-    joints: dict = field(default_factory=dict)
     flags: dict = field(default_factory=dict)
 
     def joint(self, slots: tuple[Slot, ...]) -> np.ndarray:
-        key = tuple(slots)
-        if key in self.joints:
-            return self.joints[key]
         arr, flag = _build_joint(self.prod, self.spec, slots)
-        self.joints[key] = arr
-        self.flags[key] = flag
+        self.flags[tuple(slots)] = flag
         return arr
 
 

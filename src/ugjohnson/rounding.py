@@ -363,19 +363,20 @@ def rt_reduce(pe: PseudoExpectation, inst: UGInstance, S: Sequence[int],
 # conditioning keeps most local distributions intact (measured)
 
 
-def tv_conditioning_check(prod: ProductPE, E: EventPoly, S: Sequence[int],
-                          cfg: RoundingConfig, inst: UGInstance) -> dict:
+def tv_conditioning_check(prod: ProductPE, cond: ProductPE, S: Sequence[int],
+                          cfg: RoundingConfig, inst: UGInstance, tau_bar: float) -> dict:
     """Measured fraction of pairs (u,v) in S whose (Y_{u,v}, Y'_{u,v}) joint
-    moves by >= delta in TV after conditioning on E, against the instantiated
-    correlation bound 16 (sqrt(tau_bar) + 1/|S|) / (p_bar delta^2)."""
+    moves by >= delta in TV from prod to cond, its conditioning on an event,
+    against the instantiated correlation bound 16 (sqrt(tau_bar) + 1/|S|) /
+    (p_bar delta^2), where p_bar = cond.z is the event's mass under prod and
+    tau_bar the average pairwise MI the reduction left on prod."""
     S = [int(u) for u in S]
     spec = ShiftPartitionSpec(inst, cfg.beta, cfg.nu,
                               mode="surrogate" if cfg.include_p_slots else "plain",
                               val_within=frozenset(S))
-    cond = prod.condition(E)
     base_coll = LocalDistributionCollection(prod, spec)
     cond_coll = LocalDistributionCollection(cond, spec)
-    p_bar = prod.pE(E.poly)
+    p_bar = cond.z
     pairs = list(itertools.combinations(S, 2))
     rng = np.random.default_rng(cfg.seed + 2)
     if len(pairs) > cfg.tv_pair_budget:
@@ -388,11 +389,6 @@ def tv_conditioning_check(prod: ProductPE, E: EventPoly, S: Sequence[int],
         tvs.append(tv_distance(base_coll.joint(slots), cond_coll.joint(slots)))
     tvs = np.asarray(tvs)
     frac = float(np.mean(tvs >= cfg.delta)) if len(tvs) else 0.0
-    mi_x = pairwise_mi(base_coll, S, primed=False, with_p=cfg.include_p_slots,
-                       max_pairs=cfg.mi_pair_budget, seed=cfg.seed).average
-    mi_xp = pairwise_mi(base_coll, S, primed=True, with_p=cfg.include_p_slots,
-                        max_pairs=cfg.mi_pair_budget, seed=cfg.seed).average
-    tau_bar = max(mi_x, mi_xp)
     bound = TV_EXCEEDANCE_CONST * (sqrt(max(tau_bar, 0.0)) + 1.0 / len(S)) / (
         max(p_bar, 1e-12) * cfg.delta ** 2)
     return {"fraction_exceeding": frac, "tvs": [float(t) for t in tvs],
@@ -444,9 +440,10 @@ def subround(inst: UGInstance, pe: PseudoExpectation, a: Optional[tuple],
     mu1, mu2, rt_rec = rt_reduce(pe_sym, inst, S, P, cfg, p_floor)
     record["rt_reduce"] = rt_rec
     prod12 = ProductPE(mu1, mu2)
-    tv_rec = tv_conditioning_check(prod12, P, S, cfg, inst)
-    record["tv_check"] = tv_rec
     cond12 = prod12.condition(P)
+    tv_rec = tv_conditioning_check(prod12, cond12, S, cfg, inst,
+                                   max(rt_rec["mi_x"], rt_rec["mi_xp"]))
+    record["tv_check"] = tv_rec
 
     spec_a = ShiftPartitionSpec(inst, cfg.beta, cfg.nu, mode="plain",
                                 scope=tuple(S), val_within=frozenset(S))
@@ -515,7 +512,6 @@ def main_algorithm(inst: UGInstance, cfg: RoundingConfig,
         rec["iteration"] = j
         rec["solver"] = pe.solve_info
         if rec.get("no_dense_subcube"):
-            rec["iteration"] = j
             rec["assigned_new"] = []
             rec["stalled"] = True
             trace.records.append(rec)

@@ -350,31 +350,26 @@ def shift_symmetrize(pe: PseudoExpectation) -> ShiftSymmetrizedPE:
 
 class ProductPE(PseudoExpectation):
     """Two independent copies pE[X^a X'^b] = pE1[X^a] pE2[X^b], optionally
-    reweighted by mixed events (the conditioned object after SubRound's step)."""
+    reweighted by one mixed event: pE[m E] / z with z = pE[E] (the conditioned
+    object after SubRound's step)."""
 
     def __init__(self, pe1: PseudoExpectation, pe2: Optional[PseudoExpectation] = None,
-                 events: Sequence[EventPoly] = ()):
+                 event: Optional[EventPoly] = None):
         self.pe1 = pe1
         self.pe2 = pe2 if pe2 is not None else pe1
         if self.pe1.mode != "single" or self.pe2.mode != "single":
             raise ValueError("product factors must be single-copy")
         self.q, self.n_vertices = pe1.q, pe1.n_vertices
         self.mode = "product"
-        self.events = list(events)
-        self._w: Optional[Poly] = None
-        self._z = 1.0
+        self.event, self.z = event, 1.0
         self._cache: dict[Monomial, float] = {}
-        # the events are fixed, so each side's remaining degree is too
-        self._side_degree = [pe.degree - sum(e.side_degree(c) for e in self.events)
+        # the event is fixed, so each side's remaining degree is too
+        self._side_degree = [pe.degree - (event.side_degree(c) if event else 0)
                              for c, pe in enumerate((self.pe1, self.pe2))]
-        if self.events:
-            w: Poly = {ONE: 1.0}
-            for e in self.events:
-                w = poly_mul(w, e.poly)
-            self._w = w
-            self._z = self._raw_pE_poly(w)
-            if self._z < FLOOR_COND:
-                raise NearZeroEvent(f"pE[conditioning events] = {self._z} below {FLOOR_COND}")
+        if event is not None:
+            self.z = sum(c * self._raw_moment(m) for m, c in event.poly.items() if m is not ZERO)
+            if self.z < FLOOR_COND:
+                raise NearZeroEvent(f"pE[conditioning event] = {self.z} below {FLOOR_COND}")
 
     @property
     def degree(self) -> int:
@@ -388,25 +383,17 @@ class ProductPE(PseudoExpectation):
 
     @cached_property
     def _pairs(self) -> Optional[list[tuple[float, np.ndarray, np.ndarray]]]:
-        """(weight, x, x') over both factors' supports, reweighted by the events."""
+        """(weight, x, x') over both factors' supports, reweighted by the event."""
         s1, s2 = self.pe1.exact_support(), self.pe2.exact_support()
         if s1 is None or s2 is None:
             return None
-        out = []
-        for p1, x1 in s1:
-            for p2, x2 in s2:
-                w = p1 * p2
-                for e in self.events:
-                    w *= mon.evaluate(e.poly, x1, x2)
-                out.append((w, x1, x2))
-        return _renormalised(out)
+        ev = self.event.poly if self.event is not None else {ONE: 1.0}
+        return _renormalised([(p1 * p2 * mon.evaluate(ev, x1, x2), x1, x2)
+                              for p1, x1 in s1 for p2, x2 in s2])
 
     def _raw_moment(self, m: Monomial) -> float:
         m0, m1 = split_copies(m)
         return self.pe1.moment(m0) * self.pe2.moment(m1)
-
-    def _raw_pE_poly(self, p: Poly) -> float:
-        return sum(c * self._raw_moment(m) for m, c in p.items() if m is not ZERO)
 
     def moment(self, m: Monomial) -> float:
         if m is ZERO:
@@ -415,22 +402,28 @@ class ProductPE(PseudoExpectation):
         if hit is not None:
             return hit
         self._check_degree(m)
-        if self._w is None:
+        if self.event is None:
             out = self._raw_moment(m)
         else:
             num = 0.0
-            for me, ce in self._w.items():
+            for me, ce in self.event.poly.items():
                 mm = mul(m, me)
                 if mm is ZERO:
                     continue
                 num += ce * self._raw_moment(mm)
-            out = num / self._z
+            out = num / self.z
         self._cache[m] = out
         return out
 
     def condition(self, event: EventPoly) -> "ProductPE":
+        """Reweight by event; on a conditioned product the two events multiply."""
         _check_provenance(self, event)
-        return ProductPE(self.pe1, self.pe2, events=self.events + [event])
+        if self.event is not None:
+            zero_one = self.event.provenance == event.provenance == "zero_one_product"
+            event = EventPoly(poly_mul(self.event.poly, event.poly),
+                              "zero_one_product" if zero_one else "surrogate",
+                              f"{self.event.description} & {event.description}")
+        return ProductPE(self.pe1, self.pe2, event)
 
     def marginal_pe(self, copy: int) -> PseudoExpectation:
         return ProductMarginalPE(self, copy)
@@ -692,9 +685,11 @@ def solve(relaxation: Relaxation, seed: int = 0) -> SolvedPE:
     A warm start of objective 1 is certified optimal and returned as it is.
     Otherwise the interior-point method runs (certified gap <= 1e-7) when the
     class count permits a dense Schur complement, and the warm start replaces
-    its table when it scores higher; over that budget the warm start is
-    returned uncertified.  solve_info["source"] names the table returned:
-    "sdp", "warm_start" or "warm_certificate".
+    its table only when it scores higher by more than the certified gap (by
+    more than 1e-9 against an uncertified table); over that budget the warm
+    start is returned uncertified.  solve_info["source"] names the table
+    returned: "sdp", "warm_start" or "warm_certificate"; on the IPM path
+    solve_info["sdp_objective"] is the IPM table's objective.
     """
     prob = relaxation.problem
     inst, q = relaxation.inst, relaxation.inst.q
@@ -706,11 +701,14 @@ def solve(relaxation: Relaxation, seed: int = 0) -> SolvedPE:
                     certified=True)
     elif prob.m <= 2400 and prob.side <= 260:
         res = solve_ipm(prob)
-        # never return worse than the best integral witness
-        y, source = (y_ws, "warm_start") if res.objective < info["objective"] else (res.y, "sdp")
+        # the integral witness replaces the SDP table only when it wins by more
+        # than the certified gap (an uncertified table has no slack)
+        slack = res.gap if res.status == "optimal" else 0.0
+        lost = res.objective < info["objective"] - slack - 1e-9
+        y, source = (y_ws, "warm_start") if lost else (res.y, "sdp")
         info.update(method="ipm", source=source, objective=float(prob.c @ y), gap=res.gap,
                     certified=res.status == "optimal", iterations=res.iterations,
-                    min_eig=res.min_eig, status=res.status)
+                    min_eig=res.min_eig, status=res.status, sdp_objective=res.objective)
     else:
         info.update(method="warm_start", source="warm_start", gap=math.nan, certified=False,
                     status="over_budget")

@@ -132,12 +132,12 @@ def suite_potentials(seed: int = 0) -> dict:
     # shift-variable identities on a solved product
     g4 = johnson.build(4, 2, 0.5)
     inst4, _ = ug_core.plant(g4, 2, ug_core.PlantedSpec(0.3, seed + 2))
-    pe = sos.solve(sos.relax(inst4, 4))
+    rel4 = sos.relax(inst4, 4)
+    pe = sos.solve(rel4)
     prod = sos.product(pe)
     zrep = sos.z_identities_report(prod, inst4, seed=seed)
     checks["z_identities"] = zrep | {"ok": max(zrep.values()) <= 1e-9}
     # psi on a uniform table has the closed form
-    rel4 = sos.relax(inst4, 4)
     peU = sos.SolvedPE(inst4.vertex_count, 2, 4,
                        {m: float(v) for m, v in
                         zip(rel4.classes, rel4.problem.uniform_y)})

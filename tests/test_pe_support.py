@@ -52,9 +52,8 @@ def ref_support_pairs(prod):
     for p1, x1 in s1:
         for p2, x2 in s2:
             w = p1 * p2
-            if prod.events:
-                for e in prod.events:
-                    w *= evaluate(e.poly, x1, x2)
+            if prod.event:
+                w *= evaluate(prod.event.poly, x1, x2)
             if w < -1e-9:
                 raise ValueError("conditioning event is negative on the support")
             if w > 0.0:

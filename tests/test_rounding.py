@@ -3,6 +3,7 @@ import pytest
 
 from ugjohnson import johnson, rounding, sos, ug_core
 from ugjohnson.monomials import ONE, EventPoly, mul, var
+from ugjohnson.potentials import LocalDistributionCollection, ShiftPartitionSpec, pairwise_mi
 from ugjohnson.rounding import (NoDenseSubcube, RoundingConfig, condition_and_round,
                                 density_poly, find_event_subcube, main_algorithm,
                                 rt_reduce, subround, tv_conditioning_check)
@@ -149,12 +150,26 @@ def test_find_event_no_dense_subcube():
 # tv_conditioning_check
 
 
+def _tau_bar(prod, S, cfg, inst):
+    """The larger of the two average pairwise MIs on prod, measured as
+    rt_reduce measures them (same spec, budget and seed)."""
+    S = [int(u) for u in S]
+    spec = ShiftPartitionSpec(inst, cfg.beta, cfg.nu,
+                              mode="surrogate" if cfg.include_p_slots else "plain",
+                              val_within=frozenset(S))
+    coll = LocalDistributionCollection(prod, spec)
+    return max(pairwise_mi(coll, S, primed=primed, with_p=cfg.include_p_slots,
+                           max_pairs=cfg.mi_pair_budget, seed=cfg.seed).average
+               for primed in (False, True))
+
+
 def test_tv_trivial_event_moves_nothing(planted421):
     g, inst, A = planted421
     pe = sos.shift_symmetrize(sos.from_assignment(A, 2))
     prod = sos.ProductPE(pe, pe)
     cfg = RoundingConfig.for_instance(inst, eps=0.0, degree=4)
-    rep = tv_conditioning_check(prod, EventPoly({ONE: 1.0}), range(6), cfg, inst)
+    rep = tv_conditioning_check(prod, prod.condition(EventPoly({ONE: 1.0})), range(6), cfg,
+                                inst, _tau_bar(prod, range(6), cfg, inst))
     assert max(rep["tvs"]) == pytest.approx(0.0, abs=1e-12)
     assert rep["fraction_exceeding"] == 0.0
     assert rep["bound_ok"]
@@ -170,7 +185,8 @@ def test_tv_correlating_event_matches_exhaustive():
     E = EventPoly(density_poly(inst, list(range(6)), 0), description="delta(G_0)")
     cfg = RoundingConfig.for_instance(inst, eps=0.0, degree=8)
     cfg.tv_pair_budget = 100
-    rep = tv_conditioning_check(prod, E, range(6), cfg, inst)
+    rep = tv_conditioning_check(prod, prod.condition(E), range(6), cfg, inst,
+                                _tau_bar(prod, range(6), cfg, inst))
     # exhaustive recomputation on the explicit support: conditioning on G_0
     # density keeps only equal-assignment pairs, TV = 1/2 for every (u, v)
     for t in rep["tvs"]:
@@ -211,6 +227,23 @@ def test_subround_adversarial_no_crash():
     x, rec = subround(inst, pe, None, cfg)
     assert rec["value"] >= 0.0
     assert rec["rounding_guarantee"]["ok"] and rec["potential_relation"]["ok"]
+    # the TV check's tau_bar is the correlation the reduction left
+    rt = rec["rt_reduce"]
+    assert rec["tv_check"]["tau_bar"] == max(rt["mi_x"], rt["mi_xp"])
+
+
+def test_main_algorithm_rounds_the_sdp_table():
+    # criterion 5's pool instance J(5,2,1) q=2 eps=0.3: the IPM lands within its
+    # certified gap of the integral warm start, and its own table is rounded
+    g = johnson.build(5, 2, 0.5)
+    inst, A = ug_core.plant(g, 2, ug_core.PlantedSpec(0.3, 16))
+    cfg = RoundingConfig.for_instance(inst, eps=0.3, degree=4)
+    _, trace = main_algorithm(inst, cfg, witness=A)
+    assert trace.records
+    for rec in trace.records:
+        assert rec["solver"]["source"] == "sdp"
+        assert rec["potential_relation"]["ok"] and rec["rounding_guarantee"]["ok"]
+        assert rec["tv_check"]["bound_ok"]
 
 
 def test_main_algorithm_planted(planted421):
@@ -280,7 +313,8 @@ def test_tv_event_on_disjoint_vertices_moves_nothing():
     E = EventPoly({mul(var(8, 0), var(9, 1)): 1.0})
     cfg = RoundingConfig.for_instance(inst, eps=0.5, degree=4)
     cfg.tv_pair_budget = 50
-    rep = tv_conditioning_check(prod, E, range(6), cfg, inst)
+    rep = tv_conditioning_check(prod, prod.condition(E), range(6), cfg, inst,
+                                _tau_bar(prod, range(6), cfg, inst))
     assert max(rep["tvs"]) <= 1e-12
     assert rep["fraction_exceeding"] == 0.0
 

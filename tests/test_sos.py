@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from ugjohnson import johnson, sos, ug_core
 from ugjohnson.monomials import (ONE, ZERO, EventPoly, canon, evaluate, monomial_name,
                                  mul, parse_monomial, poly_mul, var)
+from ugjohnson.sdp import SDPResult
 from ugjohnson.sos import (DegreeExhausted, NearZeroEvent, condition,
                            from_assignment, mixture, moment_matrix, product,
                            relax, shift_symmetrize, solve, validate, z_poly)
@@ -128,14 +129,35 @@ def test_over_budget_returns_the_labelled_warm_start(monkeypatch):
     assert info["objective"] == float(rel.problem.c @ np.array(list(pe.table.values())))
 
 
-@pytest.mark.parametrize("n, q, D, source", [(5, 2, 4, "warm_start"), (6, 2, 2, "sdp")])
+@pytest.mark.parametrize("n, q, D, source", [(5, 2, 4, "sdp"), (6, 2, 2, "sdp")])
 def test_solve_info_names_the_source_of_the_table(n, q, D, source):
     # the first instances of the benchmark's solve_d4 and solve_d2 workloads at seed 1;
-    # at degree 4 the IPM lands within its gap just below the integral warm start
+    # at degree 4 the IPM lands within its gap just below the integral warm start,
+    # so its own table is kept
     rel = relax(_planted(n, q, 0.5, 1000), D)
     pe = solve(rel)
     assert (pe.solve_info["method"], pe.solve_info["source"]) == ("ipm", source)
     assert (pe.table == _warm_table(rel)) == (source == "warm_start")
+
+
+@pytest.mark.parametrize("below, gap, status, source", [
+    (1e-3, 1e-2, "max_iter", "warm_start"),   # uncertified: its gap buys no slack
+    (1e-8, 1e-7, "optimal", "sdp"),           # certified, inside its gap
+])
+def test_warm_start_replaces_the_sdp_table_only_beyond_its_gap(
+        monkeypatch, below, gap, status, source):
+    rel = relax(_planted(5, 2, 0.5, 1000), 4)
+    warm = _warm_table(rel)
+    y_ws = float(rel.problem.c @ np.array(list(warm.values())))
+    y_sdp = rel.problem.uniform_y
+    monkeypatch.setattr(sos, "solve_ipm", lambda prob: SDPResult(
+        y=y_sdp, objective=y_ws - below, gap=gap, primal_residual=0.0, iterations=3,
+        method="ipm", status=status))
+    pe = solve(rel)
+    assert pe.solve_info["source"] == source
+    assert pe.solve_info["sdp_objective"] == y_ws - below
+    want = warm if source == "warm_start" else dict(zip(rel.classes, y_sdp.tolist()))
+    assert pe.table == want
 
 
 # --------------------------------------------------------------------------
@@ -280,6 +302,23 @@ def test_condition_degree_bookkeeping(j421_solved):
     assert cond.degree == pe.degree - 2
     with pytest.raises(DegreeExhausted):
         condition(cond, ev)  # headroom exhausted at degree 2
+
+
+def test_conditioning_a_conditioned_product_multiplies_the_events(j421_solved):
+    _, inst, _, pe = j421_solved
+    plain = product(pe)
+    E1 = EventPoly(sos.density_poly(inst, range(6), 0))
+    E2 = EventPoly({canon([(0, 2, 1), (1, 4, 1)]): 1.0})
+    twice = plain.condition(E1).condition(E2)
+    E12 = poly_mul(E1.poly, E2.poly)
+    z = plain.pE(E12)
+    assert twice.z == pytest.approx(z, abs=1e-12)
+    assert (twice.side_degree(0), twice.side_degree(1)) == (2, 2)
+    monos = [ONE] + [canon([(cu, u, a), (cv, v, b)]) for cu, cv in ((0, 0), (0, 1), (1, 1))
+                     for u in range(6) for v in range(6) for a in range(2) for b in range(2)]
+    for m in monos:
+        want = 0.0 if m is ZERO else plain.pE(poly_mul({m: 1.0}, E12)) / z
+        assert twice.moment(m) == pytest.approx(want, abs=1e-12, rel=0)
 
 
 def test_condition_requires_provenance(j421_solved):
