@@ -20,7 +20,7 @@ import numpy as np
 from .johnson import JohnsonGraph, Subcube
 from .monomials import ONE, Poly, poly_add, poly_mul, poly_scale, var
 from .sos import (CLAMP_NEG, DegreeExhausted, ProductPE, PseudoExpectation,
-                  clamp_distribution, density_poly, shift_poly, vertex_val_poly)
+                  clamp_distribution, shift_poly, vertex_val_poly)
 from .steppoly import StepPoly, linear_surrogate
 from .ug_core import UGInstance, satisfied_mask, vertex_values
 
@@ -283,7 +283,8 @@ def phi_potential(spec: ShiftPartitionSpec, prod: ProductPE) -> dict:
 
     Returns the value together with the representation actually used:
     'support' (exact), or 'moments', where plain mode's Phi is
-    sum_s pE[delta(G_s)^2] with the density taken over the scope.
+    sum_s pE[delta(G_s)^2] with the density taken over the scope, read off
+    the product's pair joints: (1/|S|^2) sum_{s,a,b} J[:, :, a+s, b+s, a, b].
     """
     verts = spec.scope_vertices()
     pairs = prod.exact_support()
@@ -297,9 +298,11 @@ def phi_potential(spec: ShiftPartitionSpec, prod: ProductPE) -> dict:
     if spec.mode != "plain":
         raise DegreeExhausted(
             "squared step-weighted parts exceed the degree budget; use plain mode")
-    densities = [density_poly(spec.inst, verts, s) for s in range(prod.q)]
-    acc = sum(prod.pE(poly_mul(d, d)) for d in densities)
-    return {"phi": acc, "representation": "moments", "mode": "plain"}
+    J = prod.pair_joints(verts)
+    a = np.arange(prod.q)
+    acc = sum(J[:, :, (a[:, None] + s) % prod.q, (a + s) % prod.q, a[:, None], a].sum()
+              for s in range(prod.q)) / len(verts) ** 2
+    return {"phi": float(acc), "representation": "moments", "mode": "plain"}
 
 
 def psi_potential(pe: PseudoExpectation, inst: UGInstance,
@@ -467,6 +470,20 @@ def y_slots(u: int, v: int, primed: bool, with_p: bool) -> tuple[Slot, ...]:
     if with_p:
         s += [(ps, u), (ps, v)]
     return tuple(s)
+
+
+def y_pair_joints(prod: ProductPE, spec: ShiftPartitionSpec, S: Sequence[int],
+                  pairs: Sequence[tuple[int, int]], with_p: bool) -> list[np.ndarray]:
+    """The (Y_{u,v}, Y'_{u,v}) joint of each pair (u, v) of vertices of S.  On
+    moments without p-slots it is the slice J[u, v] of prod.pair_joints(S),
+    clamped as a moment joint is; otherwise it is built slot by slot."""
+    if with_p or prod.exact_support() is not None:
+        return [_build_joint(prod, spec, y_slots(u, v, False, with_p) +
+                             y_slots(u, v, True, with_p))[0] for u, v in pairs]
+    J = prod.pair_joints(S)
+    pos = {u: k for k, u in enumerate(S)}
+    return [clamp_distribution(J[pos[u], pos[v]].ravel()).reshape(J.shape[2:])
+            for u, v in pairs]
 
 
 @lru_cache(maxsize=16)

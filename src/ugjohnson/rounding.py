@@ -24,7 +24,7 @@ from . import sos
 from .johnson import Subcube
 from .monomials import EventPoly, ONE, Poly, mul, poly_add, poly_mul, poly_sum, var
 from .potentials import (LocalDistributionCollection, ShiftPartitionSpec,
-                         pairwise_mi, tv_distance, y_slots)
+                         pairwise_mi, tv_distance)
 from .sos import (DegreeExhausted, NearZeroEvent, ProductPE, PseudoExpectation,
                   condition, density_poly, product, shift_symmetrize, z_poly)
 from .ug_core import (UGInstance, edges_inside, randomize_edges, satisfied_mask,
@@ -258,14 +258,6 @@ def find_event_subcube(inst: UGInstance, prod: ProductPE, cfg: RoundingConfig
 # Raghavendra-Tan style global-correlation reduction
 
 
-def _avg_mi(S: Sequence[int], cfg: RoundingConfig, spec: ShiftPartitionSpec,
-            primed: bool, prod_for_coll: ProductPE) -> float:
-    coll = LocalDistributionCollection(prod_for_coll, spec)
-    stats = pairwise_mi(coll, S, primed=primed, with_p=cfg.include_p_slots,
-                        max_pairs=cfg.mi_pair_budget, seed=cfg.seed)
-    return stats.average
-
-
 def rt_reduce(pe: PseudoExpectation, inst: UGInstance, S: Sequence[int],
               E: EventPoly, cfg: RoundingConfig, p_floor: float
               ) -> tuple[PseudoExpectation, PseudoExpectation, dict]:
@@ -273,7 +265,9 @@ def rt_reduce(pe: PseudoExpectation, inst: UGInstance, S: Sequence[int],
 
     Repeatedly (deterministic seeded order) condition one copy on a vertex-pair
     value tuple, accepting a tuple iff the copy's average pairwise MI drops and
-    the event keeps pE[E] >= p_floor / 2; stop at tau or on budget.
+    the event keeps pE[E] >= p_floor / 2; stop at tau or on budget.  The
+    record's mi_pairs counts the disjoint pairs each average runs over; with
+    none (|S| < 4) nothing is measured, and tau is not reached.
     """
     S = [int(u) for u in S]
     spec = ShiftPartitionSpec(inst, cfg.beta, cfg.nu,
@@ -284,22 +278,24 @@ def rt_reduce(pe: PseudoExpectation, inst: UGInstance, S: Sequence[int],
     if p0 < p_floor * (1 - 1e-9) - 1e-12:
         raise NearZeroEvent(f"pE[E] = {p0} below the floor {p_floor}")
     chosen: list[dict] = []
-    mis = [None, None]
 
-    def current_mi(side: int) -> float:
-        prod = ProductPE(mu[0], mu[1])
-        return _avg_mi(S, cfg, spec, primed=(side == 1), prod_for_coll=prod)
+    def mi_stats(side: int, prod: ProductPE) -> pot.MIStats:
+        return pairwise_mi(LocalDistributionCollection(prod, spec), S, primed=side == 1,
+                           with_p=cfg.include_p_slots, max_pairs=cfg.mi_pair_budget,
+                           seed=cfg.seed)
 
     try:
-        mis = [current_mi(0), current_mi(1)]
+        first = [mi_stats(side, ProductPE(mu[0], mu[1])) for side in (0, 1)]
     except DegreeExhausted:
         # not even measurable at this degree: report and hand back unchanged
         # copies (the budget condition is recorded, never fatal)
-        record = {"tuples": [], "mi_x": None, "mi_xp": None,
+        record = {"tuples": [], "mi_x": None, "mi_xp": None, "mi_pairs": 0,
                   "p_event_before": p0, "p_event_after": p0,
                   "p_floor": p_floor, "floor_kept": True,
                   "budget_exhausted": True, "tau": cfg.tau, "reached_tau": False}
         return mu[0], mu[1], record
+    mis = [st.average for st in first]
+    mi_pairs = len(first[0].values)
     rng = np.random.default_rng(cfg.seed + 1)
     budget_hit = False
     for step in range(cfg.tuple_budget):
@@ -336,7 +332,7 @@ def rt_reduce(pe: PseudoExpectation, inst: UGInstance, S: Sequence[int],
                 p_now = prod_try.pE(E.poly)
                 if p_now < p_floor / 2:
                     continue
-                mi_new = _avg_mi(S, cfg, spec, primed=(side == 1), prod_for_coll=prod_try)
+                mi_new = mi_stats(side, prod_try).average
                 if mi_new < mis[side] - 1e-12:
                     mu = mu_try
                     mis[side] = mi_new
@@ -351,11 +347,11 @@ def rt_reduce(pe: PseudoExpectation, inst: UGInstance, S: Sequence[int],
             budget_hit = max(mis) > cfg.tau
             break
     p_final = ProductPE(mu[0], mu[1]).pE(E.poly)
-    record = {"tuples": chosen, "mi_x": mis[0], "mi_xp": mis[1],
+    record = {"tuples": chosen, "mi_x": mis[0], "mi_xp": mis[1], "mi_pairs": mi_pairs,
               "p_event_before": p0, "p_event_after": p_final,
               "p_floor": p_floor, "floor_kept": p_final >= p_floor / 2 - 1e-12,
               "budget_exhausted": budget_hit, "tau": cfg.tau,
-              "reached_tau": max(mis) <= cfg.tau}
+              "reached_tau": mi_pairs > 0 and max(mis) <= cfg.tau}
     return mu[0], mu[1], record
 
 
@@ -374,20 +370,15 @@ def tv_conditioning_check(prod: ProductPE, cond: ProductPE, S: Sequence[int],
     spec = ShiftPartitionSpec(inst, cfg.beta, cfg.nu,
                               mode="surrogate" if cfg.include_p_slots else "plain",
                               val_within=frozenset(S))
-    base_coll = LocalDistributionCollection(prod, spec)
-    cond_coll = LocalDistributionCollection(cond, spec)
     p_bar = cond.z
     pairs = list(itertools.combinations(S, 2))
     rng = np.random.default_rng(cfg.seed + 2)
     if len(pairs) > cfg.tv_pair_budget:
         take = rng.choice(len(pairs), size=cfg.tv_pair_budget, replace=False)
         pairs = [pairs[int(t)] for t in take]
-    tvs = []
-    for (u, v) in pairs:
-        slots = y_slots(u, v, False, cfg.include_p_slots) + \
-                y_slots(u, v, True, cfg.include_p_slots)
-        tvs.append(tv_distance(base_coll.joint(slots), cond_coll.joint(slots)))
-    tvs = np.asarray(tvs)
+    before, after = (pot.y_pair_joints(pe, spec, S, pairs, cfg.include_p_slots)
+                     for pe in (prod, cond))
+    tvs = np.asarray([tv_distance(b, a) for b, a in zip(before, after)])
     frac = float(np.mean(tvs >= cfg.delta)) if len(tvs) else 0.0
     bound = TV_EXCEEDANCE_CONST * (sqrt(max(tau_bar, 0.0)) + 1.0 / len(S)) / (
         max(p_bar, 1e-12) * cfg.delta ** 2)

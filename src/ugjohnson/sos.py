@@ -29,7 +29,6 @@ from .sdp import MomentSDP, solve_ipm
 from .ug_core import UGInstance, value as ug_value
 
 TOL_PSD = 1e-7
-TOL_OBJ = 1e-6
 FLOOR_COND = 1e-6
 CLAMP_NEG = 1e-8
 DIST_DEGREE = 64  # nominal degree of distribution-backed pseudoexpectations
@@ -91,6 +90,25 @@ class PseudoExpectation:
         when only moments are known.  Step-polynomial and clipped quantities
         are exact only on this support."""
         return None
+
+    def label_moments(self, d: int) -> list[np.ndarray]:
+        """The full-label moments of degree <= d of a single copy, one array per
+        degree k, of shape (C(n, k),) + (q,) * k: entry [c, a_1..a_k] is the
+        moment of X_{u_1,a_1} ... X_{u_k,a_k} over the c-th k-subset u of the
+        vertices in itertools.combinations order, so the raveled arrays run in
+        monomial_classes(n, q, d, False) order.  Computed once per d, read-only."""
+        cache = self.__dict__.setdefault("_label_moments", {})
+        if d not in cache:
+            cache[d] = self._fill_label_moments(d)
+            for F in cache[d]:
+                F.flags.writeable = False
+        return cache[d]
+
+    def _fill_label_moments(self, d: int) -> list[np.ndarray]:
+        n, q = self.n_vertices, self.q
+        flat = np.fromiter(map(self.moment, monomial_classes(n, q, d, False)), float)
+        ends = np.cumsum([math.comb(n, k) * q ** k for k in range(d + 1)])
+        return [F.reshape((-1,) + (q,) * k) for k, F in enumerate(np.split(flat, ends[:-1]))]
 
     # convenience views -----------------------------------------------------
 
@@ -223,6 +241,28 @@ class SolvedPE(PseudoExpectation):
         self._cache[m] = out
         return out
 
+    def _fill_label_moments(self, d: int) -> list[np.ndarray]:
+        """From the reduced table, one label axis t at a time: with the axes
+        before t already full, X_{u,0} = 1 - sum_{b>=1} X_{u,b} fills label 0
+        on axis t from the degree below and from labels >= 1."""
+        if d > self.degree:
+            raise DegreeExhausted(f"label moments of degree {d} > {self.degree}")
+        n, q = self.n_vertices, self.q
+        flat = np.fromiter((self.table[m] for m in monomial_classes(n, q, d, True)), float)
+        out: list[np.ndarray] = []
+        for k in range(d + 1):
+            combos = _combinations(n, k)
+            F = np.empty((len(combos),) + (q,) * k)
+            red = F[(slice(None),) + (slice(1, None),) * k]
+            red[...], flat = flat[:red.size].reshape(red.shape), flat[red.size:]
+            for t in range(k):
+                head, tail = (slice(None),) * (1 + t), (slice(1, None),) * (k - 1 - t)
+                lower = out[-1][_combination_rank(n, np.delete(combos, t, axis=1))]
+                F[head + (0,) + tail] = lower[head + tail] - \
+                    F[head + (slice(1, None),) + tail].sum(axis=1 + t)
+            out.append(F)
+        return out
+
 
 class ConditionedPE(PseudoExpectation):
     """Single-copy reweighting pE'[m] = pE[m s] / pE[s]."""
@@ -342,6 +382,11 @@ class ShiftSymmetrizedPE(PseudoExpectation):
         self._cache[m] = out
         return out
 
+    def _fill_label_moments(self, d: int) -> list[np.ndarray]:
+        """The base's arrays rolled by every shift s on every label axis, averaged."""
+        return [sum(np.roll(F, -s, axis=tuple(range(1, F.ndim))) for s in range(self.q)) / self.q
+                for F in self.base.label_moments(d)]
+
 
 def shift_symmetrize(pe: PseudoExpectation) -> ShiftSymmetrizedPE:
     """Idempotent: an already symmetrised pe is returned as it is, cache included."""
@@ -363,6 +408,7 @@ class ProductPE(PseudoExpectation):
         self.mode = "product"
         self.event, self.z = event, 1.0
         self._cache: dict[Monomial, float] = {}
+        self._joints: dict[tuple, np.ndarray] = {}
         # the event is fixed, so each side's remaining degree is too
         self._side_degree = [pe.degree - (event.side_degree(c) if event else 0)
                              for c, pe in enumerate((self.pe1, self.pe2))]
@@ -414,6 +460,25 @@ class ProductPE(PseudoExpectation):
             out = num / self.z
         self._cache[m] = out
         return out
+
+    def pair_joints(self, S: Sequence[int]) -> np.ndarray:
+        """J[i, j, a, b, c, d] = pE[X_{S_i,a} X_{S_j,b} X'_{S_i,c} X'_{S_j,d}],
+        cached per S.  With A_k^e[i, j, a, b] = pE_k[X_{S_i,a} X_{S_j,b} e]
+        gathered from factor k's label moments, J is the bilinear form
+        (1/z) sum_e c_e A_0^{e_0} (x) A_1^{e_1} over the event's terms
+        e = e_0 e'_1 (the one term 1 without an event)."""
+        key = tuple(int(u) for u in S)
+        if key not in self._joints:
+            poly = self.event.poly if self.event is not None else {ONE: 1.0}
+            terms = [split_copies(m) for m in poly]
+            s, q = len(key), self.q
+            a0, a1 = (_pair_moments(pe, key, tuple(t[k] for t in terms)).reshape(-1, s * s, q * q)
+                      for k, pe in enumerate((self.pe1, self.pe2)))
+            c = np.fromiter(poly.values(), float, len(poly))[:, None, None]
+            J = np.einsum("tpa,tpc->pac", a0 * c, a1).reshape((s, s) + (q,) * 4) / self.z
+            J.flags.writeable = False
+            self._joints[key] = J
+        return self._joints[key]
 
     def condition(self, event: EventPoly) -> "ProductPE":
         """Reweight by event; on a conditioned product the two events multiply."""
@@ -561,6 +626,70 @@ def basis_matrix(n: int, q: int, half_deg: int, reduced: bool,
     product annihilates; value is called once per class, in class order."""
     vals = [value(m) for m in monomial_classes(n, q, 2 * half_deg, reduced)]
     return np.asarray(vals + [0.0])[product_table(n, q, half_deg, reduced)]
+
+
+@lru_cache(maxsize=64)
+def _combinations(n: int, k: int) -> np.ndarray:
+    """Read-only rows of itertools.combinations(range(n), k), in that order."""
+    c = np.asarray(list(itertools.combinations(range(n), k)), dtype=np.int64)
+    c = c.reshape(math.comb(n, k), k)
+    c.flags.writeable = False
+    return c
+
+
+def _combination_rank(n: int, rows: np.ndarray) -> np.ndarray:
+    """The index of each increasing row of k vertices in _combinations(n, k):
+    their base-n keys increase in that order."""
+    w = n ** np.arange(rows.shape[1] - 1, -1, -1)
+    return np.searchsorted(_combinations(n, rows.shape[1]) @ w, rows @ w)
+
+
+def _class_index(rows: np.ndarray, n: int, q: int) -> np.ndarray:
+    """The index in monomial_classes(n, q, d, False) of the product of the
+    variables in each row, given as ids u q + a padded with n q; -1 where it
+    annihilates.  Equal ids merge (X^2 = X); two labels of a vertex annihilate."""
+    r = np.sort(rows, axis=1)
+    r[:, 1:][r[:, 1:] == r[:, :-1]] = n * q
+    r.sort(axis=1)
+    u, a = np.divmod(r, q)
+    deg = (u < n).sum(axis=1)
+    zero = ((u[:, 1:] == u[:, :-1]) & (u[:, 1:] < n)).any(axis=1)
+    out = np.full(len(r), -1, dtype=np.int64)
+    start = 0
+    for k in range(r.shape[1] + 1):
+        sel = (deg == k) & ~zero
+        out[sel] = start + _combination_rank(n, u[sel, :k]) * q ** k + \
+            a[sel, :k] @ q ** np.arange(k - 1, -1, -1)
+        start += math.comb(n, k) * q ** k
+    return out
+
+
+@lru_cache(maxsize=8)
+def _pair_index(n: int, q: int, S: tuple, parts: tuple) -> np.ndarray:
+    """Read-only class index, in monomial_classes(n, q, d, False), of
+    X_{S_i,a} X_{S_j,b} parts[t] at [t, i, j, a, b]; -1 where it annihilates."""
+    w = max(map(len, parts))
+    ids = np.full((len(parts), w), n * q, dtype=np.int32)
+    for t, m in enumerate(parts):
+        ids[t, :len(m)] = [u * q + a for (_, u, a) in m]
+    x = (np.asarray(S)[:, None] * q + np.arange(q)).ravel()
+    rows = np.empty((len(parts), len(x), len(x), 2 + w), dtype=np.int32)
+    rows[..., 0], rows[..., 1], rows[..., 2:] = x[:, None], x, ids[:, None, None]
+    idx = _class_index(rows.reshape(-1, 2 + w), n, q).reshape(len(parts), len(S), q, len(S), q)
+    idx = np.ascontiguousarray(idx.transpose(0, 1, 3, 2, 4))
+    idx.flags.writeable = False
+    return idx
+
+
+def _pair_moments(pe: PseudoExpectation, S: tuple, parts: tuple) -> np.ndarray:
+    """A[t, i, j, a, b] = pE[X_{S_i,a} X_{S_j,b} parts[t]] of a single copy.
+    The index runs over the sorted distinct parts, so that both factors of a
+    density event, whatever its shift, share one."""
+    distinct = sorted(set(parts))
+    where = {m: i for i, m in enumerate(distinct)}
+    blocks = pe.label_moments(2 + max(map(len, distinct)))
+    flat = np.concatenate([F.ravel() for F in blocks] + [np.zeros(1)])
+    return flat[_pair_index(pe.n_vertices, pe.q, S, tuple(distinct))][[where[m] for m in parts]]
 
 
 def _poly_to_class_vec(p: Poly, q: int, class_index: dict, n_classes: int) -> np.ndarray:

@@ -72,6 +72,20 @@ def test_rt_reduce_independent_needs_no_tuples(planted421):
     assert rec["reached_tau"]
 
 
+def test_rt_reduce_without_disjoint_pairs_measures_nothing(planted421):
+    # three vertices hold no two disjoint pairs: no MI is averaged, so tau is
+    # not reached, though the empty averages read 0
+    g, inst, _ = planted421
+    pe = sos.solve(sos.relax(inst, 4))
+    cfg = RoundingConfig(degree=4)
+    _, _, rec = rt_reduce(pe, inst, [0, 1, 2], EventPoly({ONE: 1.0}), cfg, 1.0)
+    assert rec["mi_pairs"] == 0 and rec["mi_x"] == rec["mi_xp"] == 0.0
+    assert not rec["reached_tau"]
+    # six vertices hold 45 disjoint pairs of pairs, of which the budget samples 30
+    _, _, rec = rt_reduce(pe, inst, range(6), EventPoly({ONE: 1.0}), cfg, 1.0)
+    assert rec["mi_pairs"] == cfg.mi_pair_budget == 30
+
+
 def test_rt_reduce_two_cluster_mixture():
     g = johnson.build(5, 2, 0.5)
     inst, A = ug_core.plant(g, 2, ug_core.PlantedSpec(0.0, 3))
@@ -244,6 +258,21 @@ def test_main_algorithm_rounds_the_sdp_table():
         assert rec["solver"]["source"] == "sdp"
         assert rec["potential_relation"]["ok"] and rec["rounding_guarantee"]["ok"]
         assert rec["tv_check"]["bound_ok"]
+
+
+def test_main_algorithm_at_degree_6_runs_the_reduction():
+    # the same pool instance at degree 6: each side can be conditioned once,
+    # so rt_reduce conditions, and the TV check and Phi read conditioned factors
+    g = johnson.build(5, 2, 0.5)
+    inst, A = ug_core.plant(g, 2, ug_core.PlantedSpec(0.3, 16))
+    cfg = RoundingConfig.for_instance(inst, eps=0.3, degree=6)
+    _, trace = main_algorithm(inst, cfg, witness=A)
+    assert trace.records
+    for rec in trace.records:
+        rt = rec["rt_reduce"]
+        assert len(rt["tuples"]) >= 1 and not rt["budget_exhausted"]
+        assert rec["tv_check"]["tau_bar"] == max(rt["mi_x"], rt["mi_xp"]) < 1e-3
+        assert rec["phi_conditioned"]["representation"] == "moments"
 
 
 def test_main_algorithm_planted(planted421):
