@@ -3,14 +3,14 @@ utilities, dense-subcube indicators, and the edge-covering decomposition.
 
 Exact (integral-pair) variants are used wherever the object of study is a
 concrete pair of assignments; pseudoexpectation variants evaluate the same
-quantities as moments, falling back to flagged within-budget surrogates when
-the degree cannot fit the full step-polynomial compositions.
+quantities as moments, and raise DegreeExhausted where the degree cannot fit
+them (step-weighted Phi is exact only on a distribution's support).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, log, sqrt
 from typing import Callable, Optional, Sequence
@@ -18,10 +18,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .johnson import JohnsonGraph, Subcube
-from .monomials import ONE, Poly, poly_add, poly_mul, poly_scale, var
-from .sos import (CLAMP_NEG, DegreeExhausted, ProductPE, PseudoExpectation,
-                  clamp_distribution, shift_poly, vertex_val_poly)
-from .steppoly import StepPoly, linear_surrogate
+from .monomials import poly_mul
+from .sos import (DegreeExhausted, ProductPE, PseudoExpectation, clamp_distribution,
+                  shift_poly, vertex_val_poly)
+from .steppoly import StepPoly
 from .ug_core import UGInstance, satisfied_mask, vertex_values
 
 NEAR_ZERO_PSI = 1e-9
@@ -244,13 +244,10 @@ def edge_cover_decompose(g: JohnsonGraph, inst: UGInstance, x: np.ndarray,
 class ShiftPartitionSpec:
     """Parameters of the shift partition F_s / G_s used in potentials.
 
-    mode 'plain' uses G_s (no value weighting); 'surrogate' multiplies in the
-    degree-1 stand-in for the step polynomial on vertex values; 'steppoly'
-    uses the full polynomial (available on the exact support path only).
+    mode 'plain' uses G_s (no value weighting); 'steppoly' weights it by the
+    step polynomial of the vertex values (on the exact support path only).
     """
     inst: UGInstance
-    beta: float
-    nu: float
     mode: str = "plain"
     step: Optional[StepPoly] = None
     scope: Optional[tuple[int, ...]] = None          # vertices averaged over
@@ -261,21 +258,11 @@ class ShiftPartitionSpec:
             range(self.inst.vertex_count))
 
     def p_callable(self) -> Callable:
-        if self.mode == "steppoly":
-            if self.step is None:
-                raise ValueError("steppoly mode requires a StepPoly")
-            return self.step
         if self.mode == "plain":
             return lambda v: np.ones_like(np.asarray(v, dtype=float))
-        f = linear_surrogate(self.beta, self.nu)
-        return lambda v: np.clip(f(v), 0.0, 1.0)
-
-
-def _surrogate_val_poly(spec: ShiftPartitionSpec, u: int, copy: int) -> Poly:
-    vp = vertex_val_poly(spec.inst, u, copy=copy, within=spec.val_within)
-    scale = 1.0 / (2.0 * spec.nu)
-    out = poly_scale(vp, scale)
-    return poly_add(out, {ONE: (spec.nu - spec.beta) * scale})
+        if self.step is None:
+            raise ValueError("steppoly mode requires a StepPoly")
+        return self.step
 
 
 def phi_potential(spec: ShiftPartitionSpec, prod: ProductPE) -> dict:
@@ -338,148 +325,34 @@ def psi_potential(pe: PseudoExpectation, inst: UGInstance,
 # local distributions
 
 
-Slot = tuple[str, int]  # ("X"|"Xp"|"p"|"pp", vertex)
+Slot = tuple[str, int]  # ("X"|"Xp", vertex)
 
 
 @dataclass
 class LocalDistributionCollection:
-    """Joint distributions over requested (X, p) tuples from a product
-    pseudoexpectation and a step polynomial (or its surrogate)."""
+    """Joint distributions over tuples of X- and X'-slots of a product
+    pseudoexpectation, each gathered from its label moments by ProductPE.joint
+    and clamped; DegreeExhausted when a side's slots exceed its degree."""
     prod: ProductPE
-    spec: ShiftPartitionSpec
-    flags: dict = field(default_factory=dict)
 
     def joint(self, slots: tuple[Slot, ...]) -> np.ndarray:
-        arr, flag = _build_joint(self.prod, self.spec, slots)
-        self.flags[tuple(slots)] = flag
-        return arr
+        V = [tuple(u for k, u in slots if k == kind) for kind in ("X", "Xp")]
+        arr = self.prod.joint((V[0],), (V[1],))[0]
+        arr = clamp_distribution(arr.ravel()).reshape(arr.shape)
+        # the joint's axes run over the X-slots, then the X'-slots
+        return arr.transpose(np.argsort([k == "Xp" for k, _ in slots], kind="stable"))
 
 
-def _slot_factor_poly(spec: ShiftPartitionSpec, slot: Slot, value: int) -> Poly:
-    kind, u = slot
-    copy = 0 if kind in ("X", "p") else 1
-    if kind in ("X", "Xp"):
-        return {var(u, value, copy): 1.0}
-    base = _surrogate_val_poly(spec, u, copy=copy)
-    if value == 1:
-        return base
-    return poly_add({ONE: 1.0}, poly_scale(base, -1.0))
-
-
-def _bernoulli_block(bern: Sequence[float]) -> np.ndarray:
-    """Product of independent Bernoulli(pv) axes, one per p-slot in order."""
-    sub = np.ones(tuple([2] * len(bern)))
-    for kpos, pv in enumerate(bern):
-        shape = [1] * len(bern)
-        shape[kpos] = 2
-        sub = sub * np.asarray([1.0 - pv, pv]).reshape(shape)
-    return sub
-
-
-def _support_cells(spec: ShiftPartitionSpec, slots: tuple[Slot, ...], pairs: list):
-    """(X-cell, mass, p-values) of each support pair: the pair's labels on the
-    X-slots and the clipped step values of its vertex values on the p-slots."""
-    p = spec.p_callable()
-    for w, x, xp in pairs:
-        vx = vertex_values(spec.inst, satisfied_mask(spec.inst, x), within=spec.val_within)
-        vxp = vertex_values(spec.inst, satisfied_mask(spec.inst, xp), within=spec.val_within)
-        cell = [int(x[u] if kind == "X" else xp[u]) for kind, u in slots
-                if kind in ("X", "Xp")]
-        bern = [min(max(float(p(vx[u] if kind == "p" else vxp[u])), 0.0), 1.0)
-                for kind, u in slots if kind in ("p", "pp")]
-        yield cell, w, bern
-
-
-def _moment_cells(prod: ProductPE, spec: ShiftPartitionSpec, slots: tuple[Slot, ...]):
-    """(X-cell, mass, p-values) of every X-cell from moments: the cell's pE
-    mass, and for each p-slot the clipped conditional mean of the surrogate
-    given the cell (the clip belongs to the surrogate's pointwise semantics, so
-    it cannot be pushed through the expectation; flagged as a truncation)."""
-    x_slots = tuple(s for s in slots if s[0] in ("X", "Xp"))
-    p_slots = tuple(s for s in slots if s[0] in ("p", "pp"))
-    for x_cell in itertools.product(*[range(prod.q) for _ in x_slots]):
-        m: Poly = {ONE: 1.0}
-        for slot, value in zip(x_slots, x_cell):
-            m = poly_mul(m, _slot_factor_poly(spec, slot, value))
-        base = prod.pE(m)
-        bern = []
-        for slot in p_slots:
-            if base <= 1e-12:
-                bern.append(0.0)
-                continue
-            pv = prod.pE(poly_mul(m, _slot_factor_poly(spec, slot, 1))) / base
-            bern.append(min(max(pv, 0.0), 1.0))
-        yield x_cell, base, bern
-
-
-def _accumulate(slots: tuple[Slot, ...], sizes: tuple[int, ...], cells) -> np.ndarray:
-    """Sum each cell's mass times its Bernoulli block into the joint array;
-    the block's axes are the p-slots', already in slot order."""
-    x_axes = [i for i, s in enumerate(slots) if s[0] in ("X", "Xp")]
-    arr = np.zeros(sizes)
-    for x_cell, mass, bern in cells:
-        idx: list = [slice(None)] * len(slots)
-        for ax, v in zip(x_axes, x_cell):
-            idx[ax] = v
-        arr[tuple(idx)] += mass * _bernoulli_block(bern)
-    return arr
-
-
-def _build_joint(prod: ProductPE, spec: ShiftPartitionSpec, slots: tuple[Slot, ...]
-                 ) -> tuple[np.ndarray, str]:
-    sizes = tuple(prod.q if k in ("X", "Xp") else 2 for k, _ in slots)
-    # the moment path needs the X-slots, and two degrees per side for the
-    # surrogate of any p-slot on that side, within the side budgets
-    need0 = sum(1 for k, _ in slots if k == "X") + \
-        (2 if any(k == "p" for k, _ in slots) else 0)
-    need1 = sum(1 for k, _ in slots if k == "Xp") + \
-        (2 if any(k == "pp" for k, _ in slots) else 0)
-    pairs = prod.exact_support()
-    if pairs is not None:
-        arr = _accumulate(slots, sizes, _support_cells(spec, slots, pairs))
-        flag = "support"
-    elif need0 <= prod.side_degree(0) and need1 <= prod.side_degree(1):
-        arr = _accumulate(slots, sizes, _moment_cells(prod, spec, slots))
-        flag = "moments" if all(k in ("X", "Xp") for k, _ in slots) else "moments_surrogate"
-    else:
-        # factorized fallback: split by copy when possible, else halve the
-        # group; flagged so callers can report the truncation
-        slots0 = tuple(s for s in slots if s[0] in ("X", "p"))
-        slots1 = tuple(s for s in slots if s[0] in ("Xp", "pp"))
-        if not slots0 or not slots1:
-            k = len(slots) // 2
-            if k == 0:
-                raise DegreeExhausted("a single slot exceeds the degree budget")
-            slots0, slots1 = slots[:k], slots[k:]
-        a0, _ = _build_joint(prod, spec, slots0)
-        a1, _ = _build_joint(prod, spec, slots1)
-        arr = np.multiply.outer(a0, a1)
-        order = list(slots0) + list(slots1)
-        perm = [order.index(s) for s in slots]
-        arr = np.transpose(arr, perm)
-        flag = "factorized"
-    flat = clamp_distribution(arr.ravel(), policy=CLAMP_NEG if flag == "moments" else 1e-6)
-    return flat.reshape(sizes), flag
-
-
-def y_slots(u: int, v: int, primed: bool, with_p: bool) -> tuple[Slot, ...]:
-    """Slots of Y_{u,v} = (X_u, X_v, p_u, p_v) (or the primed copy)."""
+def y_slots(u: int, v: int, primed: bool) -> tuple[Slot, ...]:
+    """Slots of Y_{u,v} = (X_u, X_v) (or the primed copy)."""
     xs = "Xp" if primed else "X"
-    ps = "pp" if primed else "p"
-    s: list[Slot] = [(xs, u), (xs, v)]
-    if with_p:
-        s += [(ps, u), (ps, v)]
-    return tuple(s)
+    return ((xs, u), (xs, v))
 
 
-def y_pair_joints(prod: ProductPE, spec: ShiftPartitionSpec, S: Sequence[int],
-                  pairs: Sequence[tuple[int, int]], with_p: bool) -> list[np.ndarray]:
-    """The (Y_{u,v}, Y'_{u,v}) joint of each pair (u, v) of vertices of S.  On
-    moments without p-slots it is the slice J[u, v] of prod.pair_joints(S),
-    clamped as a moment joint is; otherwise it is built slot by slot."""
-    if with_p or prod.exact_support() is not None:
-        return [_build_joint(prod, spec, y_slots(u, v, False, with_p) +
-                             y_slots(u, v, True, with_p))[0] for u, v in pairs]
+def y_pair_joints(prod: ProductPE, S: Sequence[int],
+                  pairs: Sequence[tuple[int, int]]) -> list[np.ndarray]:
+    """The (Y_{u,v}, Y'_{u,v}) joint of each pair (u, v) of vertices of S: the
+    slice J[u, v] of prod.pair_joints(S), clamped as every local joint is."""
     J = prod.pair_joints(S)
     pos = {u: k for k, u in enumerate(S)}
     return [clamp_distribution(J[pos[u], pos[v]].ravel()).reshape(J.shape[2:])
@@ -510,8 +383,7 @@ class MIStats:
 
 
 def pairwise_mi(coll: LocalDistributionCollection, S: Sequence[int],
-                primed: bool = False, with_p: bool = False,
-                max_pairs: int = 40, seed: int = 0) -> MIStats:
+                primed: bool = False, max_pairs: int = 40, seed: int = 0) -> MIStats:
     """Average and max of I(Y_{u1,v1}; Y_{u2,v2}) over sampled disjoint pairs.
 
     Pairs sharing a vertex are excluded: their mutual information is H of the
@@ -528,11 +400,8 @@ def pairwise_mi(coll: LocalDistributionCollection, S: Sequence[int],
     vals, used = [], []
     for (k1, k2) in combos:
         (u1, v1), (u2, v2) = pairs[k1], pairs[k2]
-        slots = y_slots(u1, v1, primed, with_p) + y_slots(u2, v2, primed, with_p)
-        arr = coll.joint(slots)
-        half = len(slots) // 2
-        val = mutual_information(arr, tuple(range(half)),
-                                 tuple(range(half, len(slots))))
+        arr = coll.joint(y_slots(u1, v1, primed) + y_slots(u2, v2, primed))
+        val = mutual_information(arr, (0, 1), (2, 3))
         vals.append(max(val, 0.0))
         used.append(((u1, v1), (u2, v2)))
     avg = float(np.mean(vals)) if vals else 0.0

@@ -60,7 +60,6 @@ class RoundingConfig:
     mi_pair_budget: int = 30
     tv_pair_budget: int = 30
     iteration_cap: Optional[int] = None
-    include_p_slots: bool = False    # Y including p-coordinates (needs degree)
 
     def __post_init__(self):
         if self.regime not in ("close_to_1", "low_completeness"):
@@ -258,8 +257,8 @@ def find_event_subcube(inst: UGInstance, prod: ProductPE, cfg: RoundingConfig
 # Raghavendra-Tan style global-correlation reduction
 
 
-def rt_reduce(pe: PseudoExpectation, inst: UGInstance, S: Sequence[int],
-              E: EventPoly, cfg: RoundingConfig, p_floor: float
+def rt_reduce(pe: PseudoExpectation, S: Sequence[int], E: EventPoly,
+              cfg: RoundingConfig, p_floor: float
               ) -> tuple[PseudoExpectation, PseudoExpectation, dict]:
     """Greedy realization of the global-correlation reduction at finite degree.
 
@@ -267,12 +266,11 @@ def rt_reduce(pe: PseudoExpectation, inst: UGInstance, S: Sequence[int],
     value tuple, accepting a tuple iff the copy's average pairwise MI drops and
     the event keeps pE[E] >= p_floor / 2; stop at tau or on budget.  The
     record's mi_pairs counts the disjoint pairs each average runs over; with
-    none (|S| < 4) nothing is measured, and tau is not reached.
+    none (|S| < 4) nothing is measured, and tau is not reached.  The MI
+    reads four-vertex joints of one copy, so a copy of degree < 4 raises
+    DegreeExhausted.
     """
     S = [int(u) for u in S]
-    spec = ShiftPartitionSpec(inst, cfg.beta, cfg.nu,
-                              mode="surrogate" if cfg.include_p_slots else "plain",
-                              val_within=frozenset(S))
     mu = [pe, pe]
     p0 = ProductPE(mu[0], mu[1]).pE(E.poly)
     if p0 < p_floor * (1 - 1e-9) - 1e-12:
@@ -280,20 +278,10 @@ def rt_reduce(pe: PseudoExpectation, inst: UGInstance, S: Sequence[int],
     chosen: list[dict] = []
 
     def mi_stats(side: int, prod: ProductPE) -> pot.MIStats:
-        return pairwise_mi(LocalDistributionCollection(prod, spec), S, primed=side == 1,
-                           with_p=cfg.include_p_slots, max_pairs=cfg.mi_pair_budget,
-                           seed=cfg.seed)
+        return pairwise_mi(LocalDistributionCollection(prod), S, primed=side == 1,
+                           max_pairs=cfg.mi_pair_budget, seed=cfg.seed)
 
-    try:
-        first = [mi_stats(side, ProductPE(mu[0], mu[1])) for side in (0, 1)]
-    except DegreeExhausted:
-        # not even measurable at this degree: report and hand back unchanged
-        # copies (the budget condition is recorded, never fatal)
-        record = {"tuples": [], "mi_x": None, "mi_xp": None, "mi_pairs": 0,
-                  "p_event_before": p0, "p_event_after": p0,
-                  "p_floor": p_floor, "floor_kept": True,
-                  "budget_exhausted": True, "tau": cfg.tau, "reached_tau": False}
-        return mu[0], mu[1], record
+    first = [mi_stats(side, ProductPE(mu[0], mu[1])) for side in (0, 1)]
     mis = [st.average for st in first]
     mi_pairs = len(first[0].values)
     rng = np.random.default_rng(cfg.seed + 1)
@@ -360,24 +348,20 @@ def rt_reduce(pe: PseudoExpectation, inst: UGInstance, S: Sequence[int],
 
 
 def tv_conditioning_check(prod: ProductPE, cond: ProductPE, S: Sequence[int],
-                          cfg: RoundingConfig, inst: UGInstance, tau_bar: float) -> dict:
+                          cfg: RoundingConfig, tau_bar: float) -> dict:
     """Measured fraction of pairs (u,v) in S whose (Y_{u,v}, Y'_{u,v}) joint
     moves by >= delta in TV from prod to cond, its conditioning on an event,
     against the instantiated correlation bound 16 (sqrt(tau_bar) + 1/|S|) /
     (p_bar delta^2), where p_bar = cond.z is the event's mass under prod and
     tau_bar the average pairwise MI the reduction left on prod."""
     S = [int(u) for u in S]
-    spec = ShiftPartitionSpec(inst, cfg.beta, cfg.nu,
-                              mode="surrogate" if cfg.include_p_slots else "plain",
-                              val_within=frozenset(S))
     p_bar = cond.z
     pairs = list(itertools.combinations(S, 2))
     rng = np.random.default_rng(cfg.seed + 2)
     if len(pairs) > cfg.tv_pair_budget:
         take = rng.choice(len(pairs), size=cfg.tv_pair_budget, replace=False)
         pairs = [pairs[int(t)] for t in take]
-    before, after = (pot.y_pair_joints(pe, spec, S, pairs, cfg.include_p_slots)
-                     for pe in (prod, cond))
+    before, after = (pot.y_pair_joints(pe, S, pairs) for pe in (prod, cond))
     tvs = np.asarray([tv_distance(b, a) for b, a in zip(before, after)])
     frac = float(np.mean(tvs >= cfg.delta)) if len(tvs) else 0.0
     bound = TV_EXCEEDANCE_CONST * (sqrt(max(tau_bar, 0.0)) + 1.0 / len(S)) / (
@@ -428,16 +412,14 @@ def subround(inst: UGInstance, pe: PseudoExpectation, a: Optional[tuple],
         p_measured = prod0.pE(P.poly)
     p_floor = max(float(p_measured) * (1 - 1e-9), sos.FLOOR_COND)
 
-    mu1, mu2, rt_rec = rt_reduce(pe_sym, inst, S, P, cfg, p_floor)
+    mu1, mu2, rt_rec = rt_reduce(pe_sym, S, P, cfg, p_floor)
     record["rt_reduce"] = rt_rec
     prod12 = ProductPE(mu1, mu2)
     cond12 = prod12.condition(P)
-    tv_rec = tv_conditioning_check(prod12, cond12, S, cfg, inst,
-                                   max(rt_rec["mi_x"], rt_rec["mi_xp"]))
+    tv_rec = tv_conditioning_check(prod12, cond12, S, cfg, max(rt_rec["mi_x"], rt_rec["mi_xp"]))
     record["tv_check"] = tv_rec
 
-    spec_a = ShiftPartitionSpec(inst, cfg.beta, cfg.nu, mode="plain",
-                                scope=tuple(S), val_within=frozenset(S))
+    spec_a = ShiftPartitionSpec(inst, mode="plain", scope=tuple(S), val_within=frozenset(S))
     record["phi_before"] = pot.phi_potential(spec_a, prod12)
     phi_rec = pot.phi_potential(spec_a, cond12)
     record["phi_conditioned"] = phi_rec

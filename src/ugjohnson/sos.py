@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -95,14 +95,30 @@ class PseudoExpectation:
         """The full-label moments of degree <= d of a single copy, one array per
         degree k, of shape (C(n, k),) + (q,) * k: entry [c, a_1..a_k] is the
         moment of X_{u_1,a_1} ... X_{u_k,a_k} over the c-th k-subset u of the
-        vertices in itertools.combinations order, so the raveled arrays run in
-        monomial_classes(n, q, d, False) order.  Computed once per d, read-only."""
-        cache = self.__dict__.setdefault("_label_moments", {})
-        if d not in cache:
-            cache[d] = self._fill_label_moments(d)
-            for F in cache[d]:
-                F.flags.writeable = False
-        return cache[d]
+        vertices in itertools.combinations order.  Read-only views of
+        flat_moments(d)."""
+        n, q = self.n_vertices, self.q
+        flat, out, start = self.flat_moments(d), [], 0
+        for k in range(d + 1):
+            size = math.comb(n, k) * q ** k
+            out.append(flat[start:start + size].reshape((-1,) + (q,) * k))
+            start += size
+        return out
+
+    def flat_moments(self, d: int) -> np.ndarray:
+        """The full-label moments of degree <= d in monomial_classes(n, q, d,
+        False) order, then those of any higher degree asked before, then a 0
+        that index -1 (an annihilated product) reads: one read-only array per
+        single copy, filled for the largest d asked, whose prefixes serve every
+        lower degree."""
+        if d > self.degree:
+            raise DegreeExhausted(f"label moments of degree {d} > {self.degree}")
+        have = self.__dict__.get("_flat")
+        if have is None or have[0] < d:
+            flat = np.concatenate([F.ravel() for F in self._fill_label_moments(d)] + [np.zeros(1)])
+            flat.flags.writeable = False
+            self._flat = have = (d, flat)
+        return have[1]
 
     def _fill_label_moments(self, d: int) -> list[np.ndarray]:
         n, q = self.n_vertices, self.q
@@ -112,12 +128,9 @@ class PseudoExpectation:
 
     # convenience views -----------------------------------------------------
 
-    def pair_marginal(self, u: int, v: int, cu: int = 0, cv: int = 0) -> np.ndarray:
-        out = np.empty((self.q, self.q))
-        for a in range(self.q):
-            for b in range(self.q):
-                out[a, b] = self.moment(mul(var(u, a, cu), var(v, b, cv)))
-        return out
+    def pair_marginal(self, u: int, v: int) -> np.ndarray:
+        """M[a, b] = pE[X_{u,a} X_{v,b}], gathered from the label moments."""
+        return _joint_moments(self, ((u, v),), (ONE,))[0, 0]
 
     def value(self, inst: UGInstance, copy: int = 0) -> float:
         return self.pE(val_poly(inst, copy))
@@ -174,6 +187,19 @@ class DistributionPE(PseudoExpectation):
             if all(x[u] == a for (_, u, a) in m):
                 tot += p
         return tot
+
+    def _fill_label_moments(self, d: int) -> list[np.ndarray]:
+        """Each support point's weight added at its own labels on every vertex
+        subset, point by point in support order, as moment() sums them."""
+        n, q = self.n_vertices, self.q
+        out = []
+        for k in range(d + 1):
+            combos = _combinations(n, k)
+            F = np.zeros((len(combos), q ** k))
+            for p, x in self.support:
+                F[np.arange(len(combos)), x[combos] @ q ** np.arange(k - 1, -1, -1)] += p
+            out.append(F.reshape((-1,) + (q,) * k))
+        return out
 
 
 def from_assignment(x: np.ndarray, q: int, degree: int = DIST_DEGREE) -> DistributionPE:
@@ -241,14 +267,19 @@ class SolvedPE(PseudoExpectation):
         self._cache[m] = out
         return out
 
+    def reduced_moments(self, d: int) -> np.ndarray:
+        """The table's values in monomial_classes(n, q, d, True) order, then a 0
+        that index -1 (an annihilated product) reads."""
+        classes = monomial_classes(self.n_vertices, self.q, d, True)
+        return np.fromiter(itertools.chain(map(self.table.__getitem__, classes), (0.0,)),
+                           float, len(classes) + 1)
+
     def _fill_label_moments(self, d: int) -> list[np.ndarray]:
         """From the reduced table, one label axis t at a time: with the axes
         before t already full, X_{u,0} = 1 - sum_{b>=1} X_{u,b} fills label 0
         on axis t from the degree below and from labels >= 1."""
-        if d > self.degree:
-            raise DegreeExhausted(f"label moments of degree {d} > {self.degree}")
         n, q = self.n_vertices, self.q
-        flat = np.fromiter((self.table[m] for m in monomial_classes(n, q, d, True)), float)
+        flat = self.reduced_moments(d)
         out: list[np.ndarray] = []
         for k in range(d + 1):
             combos = _combinations(n, k)
@@ -313,6 +344,16 @@ class ConditionedPE(PseudoExpectation):
         out = num / self.z
         self._cache[m] = out
         return out
+
+    def _fill_label_moments(self, d: int) -> list[np.ndarray]:
+        """The base's moments gathered at m e for every class m and event term
+        e: sum_e c_e pE[m e] / z, one degree at a time."""
+        terms = tuple(self.event.poly)
+        coef = np.fromiter(self.event.poly.values(), float, len(terms))
+        flat = self.base.flat_moments(d + mon.poly_degree(self.event.poly))
+        n, q = self.n_vertices, self.q
+        return [np.tensordot(coef, flat[_tuple_index(n, q, _combinations(n, k), terms)], 1)
+                / self.z for k in range(d + 1)]
 
 
 def _renormalised(support: list[tuple]) -> Optional[list[tuple]]:
@@ -461,21 +502,31 @@ class ProductPE(PseudoExpectation):
         self._cache[m] = out
         return out
 
+    def joint(self, V0: Sequence[Sequence[int]], V1: Sequence[Sequence[int]]) -> np.ndarray:
+        """J[b, a_1..a_k, c_1..c_l] = pE[X_{V0[b]_1,a_1} ... X_{V0[b]_k,a_k}
+        X'_{V1[b]_1,c_1} ... X'_{V1[b]_l,c_l}] over a batch of one vertex tuple
+        per copy.  With A_c^e[b, ...] = pE_c[X_{V_c[b]} e] gathered from factor
+        c's label moments, J is the bilinear form (1/z) sum_e c_e A_0^{e_0}
+        (x) A_1^{e_1} over the event's terms e = e_0 e'_1 (the one term 1
+        without an event).  DegreeExhausted when a tuple and an event term do
+        not fit their factor's degree."""
+        poly = self.event.poly if self.event is not None else {ONE: 1.0}
+        terms = [split_copies(m) for m in poly]
+        V = [tuple(tuple(int(u) for u in t) for t in Vc) for Vc in (V0, V1)]
+        shape = (len(poly), len(V0), -1)
+        a0, a1 = (_joint_moments(pe, Vc, tuple(t[c] for t in terms)).reshape(shape)
+                  for c, (pe, Vc) in enumerate(zip((self.pe1, self.pe2), V)))
+        coef = np.fromiter(poly.values(), float, len(poly))[:, None, None]
+        J = np.einsum("tpa,tpc->pac", a0 * coef, a1) / self.z
+        return J.reshape((len(V0),) + (self.q,) * (len(V[0][0]) + len(V[1][0])))
+
     def pair_joints(self, S: Sequence[int]) -> np.ndarray:
         """J[i, j, a, b, c, d] = pE[X_{S_i,a} X_{S_j,b} X'_{S_i,c} X'_{S_j,d}],
-        cached per S.  With A_k^e[i, j, a, b] = pE_k[X_{S_i,a} X_{S_j,b} e]
-        gathered from factor k's label moments, J is the bilinear form
-        (1/z) sum_e c_e A_0^{e_0} (x) A_1^{e_1} over the event's terms
-        e = e_0 e'_1 (the one term 1 without an event)."""
+        one joint over every pair of S, cached per S."""
         key = tuple(int(u) for u in S)
         if key not in self._joints:
-            poly = self.event.poly if self.event is not None else {ONE: 1.0}
-            terms = [split_copies(m) for m in poly]
-            s, q = len(key), self.q
-            a0, a1 = (_pair_moments(pe, key, tuple(t[k] for t in terms)).reshape(-1, s * s, q * q)
-                      for k, pe in enumerate((self.pe1, self.pe2)))
-            c = np.fromiter(poly.values(), float, len(poly))[:, None, None]
-            J = np.einsum("tpa,tpc->pac", a0 * c, a1).reshape((s, s) + (q,) * 4) / self.z
+            V = tuple(itertools.product(key, repeat=2))
+            J = self.joint(V, V).reshape((len(key),) * 2 + (self.q,) * 4)
             J.flags.writeable = False
             self._joints[key] = J
         return self._joints[key]
@@ -620,14 +671,6 @@ def product_table(n: int, q: int, half_deg: int, reduced: bool) -> np.ndarray:
     return T
 
 
-def basis_matrix(n: int, q: int, half_deg: int, reduced: bool,
-                 value: Callable[[Monomial], float]) -> np.ndarray:
-    """M[i, j] = value(b_i b_j) over the degree-half_deg basis, 0 where the
-    product annihilates; value is called once per class, in class order."""
-    vals = [value(m) for m in monomial_classes(n, q, 2 * half_deg, reduced)]
-    return np.asarray(vals + [0.0])[product_table(n, q, half_deg, reduced)]
-
-
 @lru_cache(maxsize=64)
 def _combinations(n: int, k: int) -> np.ndarray:
     """Read-only rows of itertools.combinations(range(n), k), in that order."""
@@ -664,32 +707,41 @@ def _class_index(rows: np.ndarray, n: int, q: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=8)
-def _pair_index(n: int, q: int, S: tuple, parts: tuple) -> np.ndarray:
-    """Read-only class index, in monomial_classes(n, q, d, False), of
-    X_{S_i,a} X_{S_j,b} parts[t] at [t, i, j, a, b]; -1 where it annihilates."""
+def _tuple_index(n: int, q: int, V: np.ndarray, parts: tuple) -> np.ndarray:
+    """The class index, in monomial_classes(n, q, d, False), of X_{V_b1,a_1}
+    ... X_{V_bk,a_k} parts[t] at [t, b, a_1, ..., a_k] for the rows V_b of the
+    (B, k) vertex array V; -1 where it annihilates."""
+    B, k = V.shape
     w = max(map(len, parts))
     ids = np.full((len(parts), w), n * q, dtype=np.int32)
     for t, m in enumerate(parts):
         ids[t, :len(m)] = [u * q + a for (_, u, a) in m]
-    x = (np.asarray(S)[:, None] * q + np.arange(q)).ravel()
-    rows = np.empty((len(parts), len(x), len(x), 2 + w), dtype=np.int32)
-    rows[..., 0], rows[..., 1], rows[..., 2:] = x[:, None], x, ids[:, None, None]
-    idx = _class_index(rows.reshape(-1, 2 + w), n, q).reshape(len(parts), len(S), q, len(S), q)
-    idx = np.ascontiguousarray(idx.transpose(0, 1, 3, 2, 4))
+    labels = np.asarray(list(itertools.product(range(q), repeat=k)), dtype=np.int32)
+    rows = np.empty((len(parts), B, q ** k, k + w), dtype=np.int32)
+    rows[..., :k] = V[:, None, :] * q + labels.reshape(q ** k, k)
+    rows[..., k:] = ids[:, None, None]
+    rows = rows.reshape(len(parts) * B * q ** k, k + w)
+    return _class_index(rows, n, q).reshape((len(parts), B) + (q,) * k)
+
+
+@lru_cache(maxsize=64)
+def _joint_index(n: int, q: int, V: tuple, parts: tuple) -> np.ndarray:
+    """Read-only _tuple_index of a tuple of vertex tuples, cached across
+    products: the same tuples and event terms recur in every product of a
+    SubRound."""
+    idx = _tuple_index(n, q, np.asarray(V, dtype=np.int32), parts)
     idx.flags.writeable = False
     return idx
 
 
-def _pair_moments(pe: PseudoExpectation, S: tuple, parts: tuple) -> np.ndarray:
-    """A[t, i, j, a, b] = pE[X_{S_i,a} X_{S_j,b} parts[t]] of a single copy.
-    The index runs over the sorted distinct parts, so that both factors of a
-    density event, whatever its shift, share one."""
+def _joint_moments(pe: PseudoExpectation, V: tuple, parts: tuple) -> np.ndarray:
+    """A[t, b, a_1, ..., a_k] = pE[X_{V_b1,a_1} ... X_{V_bk,a_k} parts[t]] of a
+    single copy.  The index runs over the sorted distinct parts, so that both
+    factors of a density event, whatever its shift, share one."""
     distinct = sorted(set(parts))
     where = {m: i for i, m in enumerate(distinct)}
-    blocks = pe.label_moments(2 + max(map(len, distinct)))
-    flat = np.concatenate([F.ravel() for F in blocks] + [np.zeros(1)])
-    return flat[_pair_index(pe.n_vertices, pe.q, S, tuple(distinct))][[where[m] for m in parts]]
+    flat = pe.flat_moments(len(V[0]) + max(map(len, distinct)))
+    return flat[_joint_index(pe.n_vertices, pe.q, V, tuple(distinct))][[where[m] for m in parts]]
 
 
 def _poly_to_class_vec(p: Poly, q: int, class_index: dict, n_classes: int) -> np.ndarray:
@@ -856,7 +908,7 @@ def moment_matrix(pe: PseudoExpectation, half_degree: Optional[int] = None,
     basis = monomial_classes(pe.n_vertices, pe.q, d, False)
     if len(basis) > side_cap:
         raise ValueError(f"moment matrix side {len(basis)} exceeds cap {side_cap}")
-    return basis_matrix(pe.n_vertices, pe.q, d, False, pe.moment), list(basis)
+    return pe.flat_moments(2 * d)[product_table(pe.n_vertices, pe.q, d, False)], list(basis)
 
 
 _INVARIANTS = ("scaling_residual", "partition_residual", "booleanity_residual",
@@ -904,8 +956,8 @@ def _single_copy_checks(target: PseudoExpectation, side_cap: int,
         # full-label matrix too large; the reduced-basis matrix is a congruent
         # restriction whose PSD-ness implies PSD-ness of the full matrix
         if isinstance(target, SolvedPE):
-            M = basis_matrix(target.n_vertices, target.q, target.degree // 2, True,
-                             target.table.__getitem__)
+            h = target.degree // 2
+            M = target.reduced_moments(2 * h)[product_table(target.n_vertices, target.q, h, True)]
             rep["moment_matrix_basis"] = "reduced"
     rep["min_eig"] = None if M is None else float(np.linalg.eigvalsh(M).min())
     rep["moment_matrix_side"] = None if M is None else len(M)

@@ -195,15 +195,3 @@ def build(beta: float, nu: float) -> StepPoly:
     raise StepPolyConstructionError(
         f"no verified polynomial up to degree {d_max}: {last_report}")
 
-
-def linear_surrogate(beta: float, nu: float):
-    """Degree-1 truncation-mode stand-in (x - beta + nu) / (2 nu), clip semantics.
-
-    Used when a caller's degree budget cannot fit the full polynomial composed
-    with a vertex-value; values are clamped into [0,1] only where probability
-    semantics are required, and its use is flagged in reports.
-    """
-    def f(x):
-        return (np.asarray(x, dtype=float) - beta + nu) / (2.0 * nu)
-    f.beta, f.nu, f.surrogate = beta, nu, True
-    return f

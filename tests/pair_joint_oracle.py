@@ -1,6 +1,6 @@
-"""Phi and the TV check's four-slot joints as the moment path evaluated them
-before `ProductPE.pair_joints`: one scalar moment of the product per monomial,
-each summed over the event polynomial term by term, kept as reference oracles."""
+"""Phi and the local joints as the moment path evaluated them before
+`ProductPE.joint`: one scalar moment of the product per monomial, each summed
+over the event polynomial term by term, kept as reference oracles."""
 
 import itertools
 
@@ -23,3 +23,13 @@ def y_joint(prod, u, v):
     cells = [prod.moment(canon([(0, u, a), (0, v, b), (1, u, c), (1, v, d)]))
              for a, b, c, d in itertools.product(range(q), repeat=4)]
     return clamp_distribution(np.asarray(cells)).reshape((q,) * 4)
+
+
+def joint(prod, t0, t1):
+    """pE[X_{t0} X'_{t1}] over every label of one vertex tuple per copy, one
+    moment per cell, unclamped."""
+    q, k = prod.q, len(t0)
+    cells = [prod.moment(canon([(0, u, a) for u, a in zip(t0, x[:k])] +
+                               [(1, u, a) for u, a in zip(t1, x[k:])]))
+             for x in itertools.product(range(q), repeat=k + len(t1))]
+    return np.asarray(cells).reshape((q,) * (k + len(t1)))

@@ -230,7 +230,7 @@ def test_criterion_07_information_suite():
         [(sos.from_assignment(A, 2), 0.5), (sos.from_assignment(B, 2), 0.5)]))
     cfg = RoundingConfig.for_instance(inst, eps=0.0, degree=4, tau=0.01,
                                       tuple_budget=8)
-    mu1, mu2, rec = rt_reduce(pe, inst, range(10), EventPoly({ONE: 1.0}),
+    mu1, mu2, rec = rt_reduce(pe, range(10), EventPoly({ONE: 1.0}),
                               cfg, p_floor=1.0)
     rt_ok = (rec["reached_tau"] and max(rec["mi_x"], rec["mi_xp"]) <= 0.01
              and rec["p_event_after"] >= 0.5 - 1e-9)

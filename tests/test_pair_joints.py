@@ -1,10 +1,11 @@
-"""Phi and the TV check's joints from `ProductPE.pair_joints`, against the
-scalar moment path in pair_joint_oracle, and the label-moment arrays the
-pair joints gather from, against one `moment` call per class.
+"""Phi, the TV check's joints and every local joint from `ProductPE.joint`,
+against the scalar moment path in pair_joint_oracle, and the label-moment
+arrays the joints gather from, against one `moment` call per class.
 
 The cases cover both factor types the rounding builds (a solved table and its
 shift symmetrisation), an IPM table at q = 2 and q = 3, the over-budget warm
-start of J(8,2,1), and a degree-6 product whose factor is conditioned.
+start of J(8,2,1), a degree-6 product whose factor is conditioned, and a
+distribution's support.
 """
 
 import itertools
@@ -14,7 +15,8 @@ import pytest
 
 from ugjohnson import johnson, sos, ug_core
 from ugjohnson.monomials import EventPoly, mul, poly_mul, var
-from ugjohnson.potentials import ShiftPartitionSpec, phi_potential, y_pair_joints
+from ugjohnson.potentials import (LocalDistributionCollection, ShiftPartitionSpec,
+                                  phi_potential, y_pair_joints)
 
 import pair_joint_oracle as oracle
 
@@ -55,13 +57,19 @@ def _warm_821_q2():
     return inst, S, sos.product(sos.shift_symmetrize(pe)), event
 
 
-def _degree6_conditioned():
+def _mixture_521():
+    """A three-point mixture on planted J(5,2,1) q=2, and its degree-6 table."""
     inst, A = _planted(5, 2, 0.3, 16)
     rng = np.random.default_rng(6)
     mix = sos.mixture([(sos.from_assignment(x, 2), w) for x, w in
                        ((A, 0.5), (rng.integers(0, 2, 10), 0.3), (rng.integers(0, 2, 10), 0.2))])
     table = {m: mix.moment(m) for m in sos.monomial_classes(10, 2, 6, True)}
-    sym = sos.shift_symmetrize(sos.SolvedPE(10, 2, 6, table))
+    return inst, mix, sos.SolvedPE(10, 2, 6, table)
+
+
+def _degree6_conditioned():
+    inst, _, solved = _mixture_521()
+    sym = sos.shift_symmetrize(solved)
     cond = sos.condition(sym, EventPoly({mul(var(0, 0), var(1, 1)): 1.0}))
     assert isinstance(cond, sos.ConditionedPE) and cond.degree == 4
     S = list(range(10))
@@ -79,14 +87,14 @@ def case(request):
 
 def test_phi_and_tv_joints_equal_the_scalar_moment_path(case):
     inst, S, prod, event = case
-    spec = ShiftPartitionSpec(inst, 0.3, 0.1, mode="plain", scope=tuple(S))
+    spec = ShiftPartitionSpec(inst, mode="plain", scope=tuple(S))
     pairs = list(itertools.combinations(S, 2))
     for pr in (prod, prod.condition(event)):
         assert pr.exact_support() is None
         rep = phi_potential(spec, pr)
         assert rep["representation"] == "moments"
         assert abs(rep["phi"] - oracle.phi_moments(pr, inst, S)) <= 1e-12
-        for (u, v), joint in zip(pairs, y_pair_joints(pr, spec, S, pairs, False)):
+        for (u, v), joint in zip(pairs, y_pair_joints(pr, S, pairs)):
             assert np.abs(joint - oracle.y_joint(pr, u, v)).max() <= 1e-12
 
 
@@ -114,3 +122,49 @@ def test_label_moments_equal_one_moment_per_class(n, q, D):
             assert np.abs(flat - _class_moments(pe, d)).max() <= 1e-12
     with pytest.raises(sos.DegreeExhausted):
         solved.label_moments(D + 2)
+
+
+@pytest.mark.parametrize("backing", ["solved", "support"])
+def test_joint_equals_one_moment_per_cell(backing):
+    # one to four vertex slots split over the two copies, repeats allowed, in
+    # batches of three tuples, on a product with and without a mixed event
+    inst, mix, solved = _mixture_521()
+    pe = solved if backing == "solved" else mix
+    prod = sos.ProductPE(sos.shift_symmetrize(pe), pe)
+    rng = np.random.default_rng(12)
+    for pr in (prod, prod.condition(_squared_density(inst, list(range(10)), 1))):
+        for k0, k1 in ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1), (1, 3), (4, 0), (2, 2)):
+            V0, V1 = rng.integers(0, 10, (3, k0)), rng.integers(0, 10, (3, k1))
+            J = pr.joint(V0, V1)
+            assert J.shape == (3,) + (2,) * (k0 + k1)
+            for b in range(3):
+                assert np.abs(J[b] - oracle.joint(pr, V0[b], V1[b])).max() <= 1e-12
+
+
+@pytest.mark.parametrize("backing", ["solved", "support"])
+def test_conditioned_label_moments_equal_its_own_moments(backing):
+    inst, mix, solved = _mixture_521()
+    base = solved if backing == "solved" else mix
+    for event in (EventPoly({mul(var(0, 0), var(1, 1)): 1.0}),
+                  EventPoly(sos.shift_poly(2, 5, 1, 2))):
+        cond = sos.ConditionedPE(base, event)
+        flat = np.concatenate([F.ravel() for F in cond.label_moments(4)])
+        assert np.abs(flat - _class_moments(cond, 4)).max() <= 1e-12
+    flat = np.concatenate([F.ravel() for F in mix.label_moments(4)])
+    assert np.abs(flat - _class_moments(mix, 4)).max() <= 1e-12
+
+
+def test_a_joint_beyond_a_side_degree_raises():
+    # a degree-6 table gives joints of up to six vertices of one copy, four
+    # after an event of side degree 2; beyond that no product of smaller
+    # joints stands in for the joint
+    inst, _, solved = _mixture_521()
+    prod = sos.product(solved)
+    cond = prod.condition(_squared_density(inst, list(range(10)), 0))
+    six = tuple(("X", u) for u in range(6))
+    assert LocalDistributionCollection(prod).joint(six).shape == (2,) * 6
+    assert LocalDistributionCollection(cond).joint(six[:4]).shape == (2,) * 4
+    for pr, slots in ((prod, six + (("X", 6),)), (cond, six[:5]),
+                      (cond, six[:2] + tuple(("Xp", u) for u in range(5)))):
+        with pytest.raises(sos.DegreeExhausted):
+            LocalDistributionCollection(pr).joint(slots)

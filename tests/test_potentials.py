@@ -5,14 +5,12 @@ import pytest
 
 from ugjohnson import johnson, sos, steppoly, ug_core
 from ugjohnson.monomials import EventPoly
-from ugjohnson.monomials import evaluate
 from ugjohnson.potentials import (LocalDistributionCollection, ShiftPartitionSpec,
-                                  _surrogate_val_poly, potential_restriction_check,
+                                  potential_restriction_check,
                                   data_processing_check, default_eps_schedule,
                                   dense_subcube_indicators, edge_cover_decompose, g_parts,
                                   mutual_information, pairwise_mi, phi_integral,
                                   phi_potential, pinsker_check, psi_potential, y_slots)
-from ugjohnson.steppoly import linear_surrogate
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +29,7 @@ def test_phi_examples(setup):
     g, inst, A, p = setup
     pe = sos.from_assignment(A, 2)
     prod = sos.ProductPE(pe, pe)
-    spec = ShiftPartitionSpec(inst, 0.3, 0.1, mode="steppoly", step=p)
+    spec = ShiftPartitionSpec(inst, mode="steppoly", step=p)
     rep = phi_potential(spec, prod)
     assert rep["phi"] >= (1 - 0.1) ** 4 - 1e-12
     assert rep["phi"] <= 1.0 + 1e-12
@@ -46,9 +44,8 @@ def test_phi_examples(setup):
 def test_phi_global_restricted_full_graph_equals_phi(setup):
     g, inst, A, p = setup
     prod = sos.ProductPE(sos.from_assignment(A, 2), sos.from_assignment(A, 2))
-    spec = ShiftPartitionSpec(inst, 0.3, 0.1, mode="steppoly", step=p)
-    full_scope = ShiftPartitionSpec(inst, 0.3, 0.1, mode="steppoly", step=p,
-                                    scope=tuple(range(10)))
+    spec = ShiftPartitionSpec(inst, mode="steppoly", step=p)
+    full_scope = ShiftPartitionSpec(inst, mode="steppoly", step=p, scope=tuple(range(10)))
     assert phi_potential(full_scope, prod)["phi"] == pytest.approx(
         phi_potential(spec, prod)["phi"])
 
@@ -57,7 +54,7 @@ def test_phi_moment_path_plain(setup):
     g, inst, A, p = setup
     pe = sos.solve(sos.relax(inst, 4))
     prod = sos.product(pe)
-    spec = ShiftPartitionSpec(inst, 0.3, 0.1, mode="plain")
+    spec = ShiftPartitionSpec(inst, mode="plain")
     rep = phi_potential(spec, prod)
     assert rep["representation"] == "moments"
     assert 0.0 - 1e-9 <= rep["phi"] <= 1.0 + 1e-9
@@ -94,11 +91,9 @@ def test_psi_examples(setup):
 def test_extract_local_integral_point_masses(setup):
     g, inst, A, p = setup
     prod = sos.ProductPE(sos.from_assignment(A, 2), sos.from_assignment(A, 2))
-    spec = ShiftPartitionSpec(inst, 0.3, 0.1, mode="steppoly", step=p)
-    arr = LocalDistributionCollection(prod, spec).joint(y_slots(0, 1, False, True))
-    # X-part is a point mass at the assignment; p-part concentrates near 1
-    assert arr[A[0], A[1]].sum() == pytest.approx(1.0)
-    assert arr[A[0], A[1], 1, 1] >= (1 - 0.1) ** 2
+    arr = LocalDistributionCollection(prod).joint(y_slots(0, 1, False))
+    # a point mass at the assignment
+    assert arr[A[0], A[1]] == pytest.approx(1.0)
 
 
 def test_extract_local_product_factorizes(setup):
@@ -106,9 +101,8 @@ def test_extract_local_product_factorizes(setup):
     rng = np.random.default_rng(2)
     xp = rng.integers(0, 2, 10)
     prod = sos.ProductPE(sos.from_assignment(A, 2), sos.from_assignment(xp, 2))
-    spec = ShiftPartitionSpec(inst, 0.3, 0.1, mode="plain")
     slots = (("X", 0), ("Xp", 0))
-    arr = LocalDistributionCollection(prod, spec).joint(slots)
+    arr = LocalDistributionCollection(prod).joint(slots)
     assert arr[A[0], xp[0]] == pytest.approx(1.0)
 
 
@@ -116,8 +110,7 @@ def test_extract_local_marginal_consistency(setup):
     g, inst, A, p = setup
     pe = sos.solve(sos.relax(inst, 4))
     prod = sos.product(pe)
-    spec = ShiftPartitionSpec(inst, 0.3, 0.1, mode="plain")
-    coll = LocalDistributionCollection(prod, spec)
+    coll = LocalDistributionCollection(prod)
     j01 = coll.joint((("X", 0), ("X", 1)))
     j02 = coll.joint((("X", 0), ("X", 2)))
     assert np.abs(j01.sum(axis=1) - j02.sum(axis=1)).max() < 1e-8
@@ -127,8 +120,7 @@ def test_extract_local_clamp_policy(setup):
     g, inst, _, _ = setup
     pe = sos.solve(sos.relax(inst, 4))
     prod = sos.product(pe)
-    spec = ShiftPartitionSpec(inst, 0.3, 0.1, mode="plain")
-    coll = LocalDistributionCollection(prod, spec)
+    coll = LocalDistributionCollection(prod)
     arr = coll.joint((("X", 3), ("X", 7)))
     assert arr.min() >= 0.0 and arr.sum() == pytest.approx(1.0)
 
@@ -172,8 +164,7 @@ def test_pairwise_mi_independent_is_zero(setup):
     peU = sos.SolvedPE(10, 2, 4, {m: float(v) for m, v in
                                   zip(rel.classes, rel.problem.uniform_y)})
     prod = sos.ProductPE(peU, peU)
-    spec = ShiftPartitionSpec(inst, 0.3, 0.1, mode="plain")
-    coll = LocalDistributionCollection(prod, spec)
+    coll = LocalDistributionCollection(prod)
     stats = pairwise_mi(coll, range(6), max_pairs=10)
     assert stats.average == pytest.approx(0.0, abs=1e-9)
     assert stats.maximum >= stats.average >= 0
@@ -273,32 +264,14 @@ def test_default_eps_schedule_preconditions():
 
 
 # --------------------------------------------------------------------------
-# the surrogate step event
-
-
-def test_surrogate_val_poly_is_linear_surrogate(setup):
-    # the degree-1 surrogate polynomial evaluates to linear_surrogate of the
-    # vertex value on integral assignments, on either copy
-    g, inst, A, p = setup
-    spec = ShiftPartitionSpec(inst, p.beta, p.nu, mode="surrogate")
-    f = linear_surrogate(p.beta, p.nu)
-    bad = (A + np.arange(10) % 2) % 2            # break many constraints at 0
-    for x in (A, bad):
-        vals = ug_core.vertex_values(inst, ug_core.satisfied_mask(inst, x))
-        for u in (0, 3):
-            assert evaluate(_surrogate_val_poly(spec, u, copy=0), x) == pytest.approx(
-                float(f(vals[u])))
-            assert evaluate(_surrogate_val_poly(spec, u, copy=1), x, x) == pytest.approx(
-                float(f(vals[u])))
-    assert evaluate(_surrogate_val_poly(spec, 0, copy=0), A) == pytest.approx(float(f(1.0)))
+# more local joints and Psi
 
 
 def test_data_processing_on_extracted_locals(setup):
     g, inst, A, _ = setup
     pe = sos.solve(sos.relax(inst, 4))
     prod = sos.product(pe)
-    spec = ShiftPartitionSpec(inst, 0.3, 0.1, mode="plain")
-    coll = LocalDistributionCollection(prod, spec)
+    coll = LocalDistributionCollection(prod)
     joint = coll.joint((("X", 0), ("Xp", 1))).reshape(2, 2)
     rng = np.random.default_rng(2)
     for _ in range(10):
@@ -313,42 +286,6 @@ def test_psi_skips_never_occurring_shifts(setup):
     pe = sos.from_assignment(A, 2)
     val = psi_potential(pe, inst)
     assert val == pytest.approx(1.0)
-
-
-def test_p_slot_joint_moment_path(setup):
-    # solver-backed product: (X_u, p_u) joints fit the budget exactly and use
-    # the flagged surrogate; full Y-with-p joints fall back to factorization
-    g, inst, A, _ = setup
-    pe = sos.solve(sos.relax(inst, 4))
-    prod = sos.product(pe)
-    spec = ShiftPartitionSpec(inst, 0.3, 0.1, mode="surrogate")
-    coll = LocalDistributionCollection(prod, spec)
-    j = coll.joint((("X", 0), ("p", 0)))
-    assert coll.flags[(("X", 0), ("p", 0))] == "moments_surrogate"
-    assert j.min() >= 0.0 and j.sum() == pytest.approx(1.0)
-    # full Y joints with p-coordinates fit at D=4 through the per-factor
-    # conditional treatment, still flagged as a surrogate truncation
-    big = y_slots(0, 1, False, True)
-    arr = coll.joint(big)
-    assert coll.flags[big] == "moments_surrogate"
-    assert arr.min() >= 0.0 and arr.sum() == pytest.approx(1.0)
-    # X-only joints that exceed the side budget fall back to factorization
-    wide = (("X", 0), ("X", 1), ("X", 2), ("X", 3), ("X", 4), ("X", 5))
-    coll.joint(wide)
-    assert coll.flags[wide] == "factorized"
-
-
-def test_p_slot_support_path_uses_real_steppoly(setup):
-    g, inst, A, p = setup
-    pe = sos.from_assignment(A, 2)
-    prod = sos.ProductPE(pe, pe)
-    spec = ShiftPartitionSpec(inst, 0.3, 0.1, mode="steppoly", step=p)
-    coll = LocalDistributionCollection(prod, spec)
-    j = coll.joint((("p", 0), ("pp", 0)))
-    # every vertex value is 1 on the satisfied pair, so p_u = 1 w.p. p(1)
-    pv = float(p(1.0))
-    assert j[1, 1] == pytest.approx(pv * pv)
-    assert j.sum() == pytest.approx(1.0)
 
 
 def test_support_and_moment_paths_agree(setup):
@@ -367,7 +304,7 @@ def test_support_and_moment_paths_agree(setup):
     solved_like = sos.SolvedPE(10, q, 4, table)
     prod_support = sos.ProductPE(mix, mix)
     prod_table = sos.ProductPE(solved_like, solved_like)
-    spec = ShiftPartitionSpec(inst, 0.3, 0.1, mode="plain")
+    spec = ShiftPartitionSpec(inst, mode="plain")
     # phi: exact support route vs Z-moment route
     a = phi_potential(spec, prod_support)
     b = phi_potential(spec, prod_table)
@@ -377,8 +314,8 @@ def test_support_and_moment_paths_agree(setup):
     assert psi_potential(mix, inst) == pytest.approx(
         psi_potential(solved_like, inst), abs=1e-10)
     # local joints
-    ca = LocalDistributionCollection(prod_support, spec)
-    cb = LocalDistributionCollection(prod_table, spec)
+    ca = LocalDistributionCollection(prod_support)
+    cb = LocalDistributionCollection(prod_table)
     slots = (("X", 0), ("X", 3), ("Xp", 0), ("Xp", 3))
     assert np.abs(ca.joint(slots) - cb.joint(slots)).max() < 1e-10
     # pairwise MI through both routes
@@ -400,9 +337,9 @@ def test_conditioned_support_and_moment_paths_agree(setup):
     E = EventPoly(density_poly(inst, list(range(10)), 0), description="delta(G_0)")
     ca = sos.ProductPE(mix, mix).condition(E)
     cb = sos.ProductPE(solved_like, solved_like).condition(E)
-    spec = ShiftPartitionSpec(inst, 0.3, 0.1, mode="plain")
-    ja = LocalDistributionCollection(ca, spec).joint((("X", 1), ("Xp", 1)))
-    jb = LocalDistributionCollection(cb, spec).joint((("X", 1), ("Xp", 1)))
+    spec = ShiftPartitionSpec(inst, mode="plain")
+    ja = LocalDistributionCollection(ca).joint((("X", 1), ("Xp", 1)))
+    jb = LocalDistributionCollection(cb).joint((("X", 1), ("Xp", 1)))
     assert np.abs(ja - jb).max() < 1e-10
     assert phi_potential(spec, ca)["phi"] == pytest.approx(
         phi_potential(spec, cb)["phi"], abs=1e-10)

@@ -3,7 +3,7 @@ import pytest
 
 from ugjohnson import johnson, rounding, sos, ug_core
 from ugjohnson.monomials import ONE, EventPoly, mul, var
-from ugjohnson.potentials import LocalDistributionCollection, ShiftPartitionSpec, pairwise_mi
+from ugjohnson.potentials import LocalDistributionCollection, pairwise_mi
 from ugjohnson.rounding import (NoDenseSubcube, RoundingConfig, condition_and_round,
                                 density_poly, find_event_subcube, main_algorithm,
                                 rt_reduce, subround, tv_conditioning_check)
@@ -66,7 +66,7 @@ def test_rt_reduce_independent_needs_no_tuples(planted421):
                                  zip(rel.classes, rel.problem.uniform_y)})
     cfg = RoundingConfig.for_instance(inst, eps=0.0, degree=4, tau=0.01)
     E = EventPoly({ONE: 1.0})
-    mu1, mu2, rec = rt_reduce(peU, inst, range(6), E, cfg, p_floor=1.0)
+    mu1, mu2, rec = rt_reduce(peU, range(6), E, cfg, p_floor=1.0)
     assert rec["tuples"] == []
     assert rec["mi_x"] == pytest.approx(0.0, abs=1e-9)
     assert rec["reached_tau"]
@@ -78,11 +78,11 @@ def test_rt_reduce_without_disjoint_pairs_measures_nothing(planted421):
     g, inst, _ = planted421
     pe = sos.solve(sos.relax(inst, 4))
     cfg = RoundingConfig(degree=4)
-    _, _, rec = rt_reduce(pe, inst, [0, 1, 2], EventPoly({ONE: 1.0}), cfg, 1.0)
+    _, _, rec = rt_reduce(pe, [0, 1, 2], EventPoly({ONE: 1.0}), cfg, 1.0)
     assert rec["mi_pairs"] == 0 and rec["mi_x"] == rec["mi_xp"] == 0.0
     assert not rec["reached_tau"]
     # six vertices hold 45 disjoint pairs of pairs, of which the budget samples 30
-    _, _, rec = rt_reduce(pe, inst, range(6), EventPoly({ONE: 1.0}), cfg, 1.0)
+    _, _, rec = rt_reduce(pe, range(6), EventPoly({ONE: 1.0}), cfg, 1.0)
     assert rec["mi_pairs"] == cfg.mi_pair_budget == 30
 
 
@@ -96,7 +96,7 @@ def test_rt_reduce_two_cluster_mixture():
     cfg = RoundingConfig.for_instance(inst, eps=0.0, degree=4, tau=0.01,
                                       tuple_budget=8)
     E = EventPoly({ONE: 1.0})
-    mu1, mu2, rec = rt_reduce(pe, inst, range(10), E, cfg, p_floor=1.0)
+    mu1, mu2, rec = rt_reduce(pe, range(10), E, cfg, p_floor=1.0)
     assert rec["reached_tau"], rec
     assert max(rec["mi_x"], rec["mi_xp"]) <= 0.01
     assert rec["p_event_after"] >= 0.5 - 1e-9  # >= p/2
@@ -111,9 +111,18 @@ def test_rt_reduce_respects_event_floor(planted421):
     E = EventPoly(dens, description="delta(G_0)")
     cfg = RoundingConfig.for_instance(inst, eps=0.0, degree=4, tau=1e-6,
                                       tuple_budget=4)
-    mu1, mu2, rec = rt_reduce(pe, inst, range(6), E, cfg, p_floor=0.5)
+    mu1, mu2, rec = rt_reduce(pe, range(6), E, cfg, p_floor=0.5)
     assert rec["p_event_after"] >= 0.25 - 1e-9
     assert rec["floor_kept"]
+
+
+def test_rt_reduce_on_a_degree_2_table_raises(planted421):
+    # its MI reads four-vertex joints of one copy, which a degree-2 table
+    # cannot give; no product of two-vertex halves stands in for them
+    g, inst, _ = planted421
+    pe = sos.shift_symmetrize(sos.solve(sos.relax(inst, 2)))
+    with pytest.raises(sos.DegreeExhausted):
+        rt_reduce(pe, range(6), EventPoly({ONE: 1.0}), RoundingConfig(degree=2), 1.0)
 
 
 # --------------------------------------------------------------------------
@@ -164,15 +173,11 @@ def test_find_event_no_dense_subcube():
 # tv_conditioning_check
 
 
-def _tau_bar(prod, S, cfg, inst):
+def _tau_bar(prod, S, cfg):
     """The larger of the two average pairwise MIs on prod, measured as
-    rt_reduce measures them (same spec, budget and seed)."""
-    S = [int(u) for u in S]
-    spec = ShiftPartitionSpec(inst, cfg.beta, cfg.nu,
-                              mode="surrogate" if cfg.include_p_slots else "plain",
-                              val_within=frozenset(S))
-    coll = LocalDistributionCollection(prod, spec)
-    return max(pairwise_mi(coll, S, primed=primed, with_p=cfg.include_p_slots,
+    rt_reduce measures them (same budget and seed)."""
+    coll = LocalDistributionCollection(prod)
+    return max(pairwise_mi(coll, [int(u) for u in S], primed=primed,
                            max_pairs=cfg.mi_pair_budget, seed=cfg.seed).average
                for primed in (False, True))
 
@@ -183,7 +188,7 @@ def test_tv_trivial_event_moves_nothing(planted421):
     prod = sos.ProductPE(pe, pe)
     cfg = RoundingConfig.for_instance(inst, eps=0.0, degree=4)
     rep = tv_conditioning_check(prod, prod.condition(EventPoly({ONE: 1.0})), range(6), cfg,
-                                inst, _tau_bar(prod, range(6), cfg, inst))
+                                _tau_bar(prod, range(6), cfg))
     assert max(rep["tvs"]) == pytest.approx(0.0, abs=1e-12)
     assert rep["fraction_exceeding"] == 0.0
     assert rep["bound_ok"]
@@ -199,8 +204,8 @@ def test_tv_correlating_event_matches_exhaustive():
     E = EventPoly(density_poly(inst, list(range(6)), 0), description="delta(G_0)")
     cfg = RoundingConfig.for_instance(inst, eps=0.0, degree=8)
     cfg.tv_pair_budget = 100
-    rep = tv_conditioning_check(prod, prod.condition(E), range(6), cfg, inst,
-                                _tau_bar(prod, range(6), cfg, inst))
+    rep = tv_conditioning_check(prod, prod.condition(E), range(6), cfg,
+                                _tau_bar(prod, range(6), cfg))
     # exhaustive recomputation on the explicit support: conditioning on G_0
     # density keeps only equal-assignment pairs, TV = 1/2 for every (u, v)
     for t in rep["tvs"]:
@@ -342,8 +347,8 @@ def test_tv_event_on_disjoint_vertices_moves_nothing():
     E = EventPoly({mul(var(8, 0), var(9, 1)): 1.0})
     cfg = RoundingConfig.for_instance(inst, eps=0.5, degree=4)
     cfg.tv_pair_budget = 50
-    rep = tv_conditioning_check(prod, prod.condition(E), range(6), cfg, inst,
-                                _tau_bar(prod, range(6), cfg, inst))
+    rep = tv_conditioning_check(prod, prod.condition(E), range(6), cfg,
+                                _tau_bar(prod, range(6), cfg))
     assert max(rep["tvs"]) <= 1e-12
     assert rep["fraction_exceeding"] == 0.0
 
@@ -371,22 +376,6 @@ def test_config_validation():
         RoundingConfig(nu=0.5, beta=0.3)
     with pytest.raises(ValueError):
         RoundingConfig(tau=-1.0)
-
-
-def test_rt_reduce_with_p_slots_on_support():
-    g = johnson.build(4, 2, 0.5)
-    inst, A = ug_core.plant(g, 2, ug_core.PlantedSpec(0.0, 31))
-    rng = np.random.default_rng(1)
-    B = rng.integers(0, 2, 6)
-    pe = sos.shift_symmetrize(sos.mixture(
-        [(sos.from_assignment(A, 2), 0.5), (sos.from_assignment(B, 2), 0.5)]))
-    cfg = RoundingConfig.for_instance(inst, eps=0.0, degree=4, tau=0.05,
-                                      tuple_budget=6)
-    cfg.include_p_slots = True
-    E = EventPoly({ONE: 1.0})
-    mu1, mu2, rec = rt_reduce(pe, inst, range(6), E, cfg, p_floor=1.0)
-    assert rec["floor_kept"]
-    assert rec["mi_x"] <= 1.5  # finite, computed with the p-coordinates
 
 
 def test_product_conditioning_near_zero_event(planted421):

@@ -69,7 +69,7 @@ def test_phi_squared_density_equals_the_z_product_loop(q):
     for pr in (prod, conditioned):
         assert pr.exact_support() is None
         for scope in (None, tuple(ids)):
-            spec = ShiftPartitionSpec(inst, 0.3, 0.1, mode="plain", scope=scope)
+            spec = ShiftPartitionSpec(inst, mode="plain", scope=scope)
             rep = phi_potential(spec, pr)
             assert rep["representation"] == "moments"
             assert abs(rep["phi"] - oracle.phi_moments(pr, list(scope or verts))) <= 1e-12

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ugjohnson.steppoly import ConstantStep, build, linear_surrogate, markov_bounds_check
+from ugjohnson.steppoly import ConstantStep, build, markov_bounds_check
 
 
 @pytest.fixture(scope="module")
@@ -77,13 +77,6 @@ def test_all_acceptance_parameters_verify():
             assert rep["ok"], (beta, nu, rep)
             assert p.degree <= p.meta["degree_cap"]
             assert "log2_monomial_coeff_bound" in p.meta
-
-
-def test_linear_surrogate_flagged():
-    f = linear_surrogate(0.3, 0.1)
-    assert f.surrogate
-    assert f(0.3 - 0.1) == pytest.approx(0.0)
-    assert f(0.3 + 0.1) == pytest.approx(1.0)
 
 
 @given(st.floats(0.25, 0.7), st.floats(0.05, 0.12))
