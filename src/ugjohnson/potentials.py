@@ -18,9 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .johnson import JohnsonGraph, Subcube
-from .monomials import poly_mul
-from .sos import (DegreeExhausted, ProductPE, PseudoExpectation, clamp_distribution,
-                  shift_poly, vertex_val_poly)
+from .sos import DegreeExhausted, ProductPE, PseudoExpectation, clamp_distribution
 from .steppoly import StepPoly
 from .ug_core import UGInstance, satisfied_mask, vertex_values
 
@@ -296,29 +294,35 @@ def psi_potential(pe: PseudoExpectation, inst: UGInstance,
                   scope: Optional[Sequence[int]] = None) -> float:
     """Alternate shift potential
     Psi = E_{u,v}[ sum_s pPr[X_v - X_u = s]^2 pE[val_v | X_v - X_u = s] ],
-    with near-zero conditioning events contributing 0.
+    with near-zero conditioning events contributing 0.  With val_v = sum_w
+    sum_{a,b} W[v, w, a, b] X_{v,a} X_{w,b} over v's edges inside the scope,
+    pPr^2 pE[val_v | .] = pPr pE[val_v 1(X_v - X_u = s)] is W contracted with
+    the triple moments of (v, w, u), gathered only for the (v, w) of an edge.
     """
     if pe.degree < 4:
         raise DegreeExhausted("Psi needs degree >= 4")
-    n, q = pe.n_vertices, pe.q
-    verts = list(scope) if scope is not None else list(range(n))
-    within = set(verts) if scope is not None else None
-    acc = 0.0
-    val_polys = {v: vertex_val_poly(inst, v, copy=0, within=within) for v in verts}
+    q, a = pe.q, np.arange(pe.q)
+    verts = list(scope) if scope is not None else list(range(pe.n_vertices))
+    within, k = set(verts) if scope is not None else None, len(verts)
+    pos = {v: i for i, v in enumerate(verts)}
+    W: dict[tuple[int, int], np.ndarray] = {}  # (i, j) -> W[v_i, v_j, x_{v_i}, x_{v_j}]
     for v in verts:
-        vp = val_polys[v]
-        for u in verts:
-            if u == v:
-                acc += pe.pE(vp)
-                continue
-            for s in range(q):
-                ind = shift_poly(v, u, s, q)
-                pr = pe.pE(ind)
-                if pr < NEAR_ZERO_PSI:
-                    continue
-                cond_val = pe.pE(poly_mul(vp, ind)) / pr
-                acc += pr * pr * cond_val
-    return acc / (len(verts) ** 2)
+        for e, c in inst.scoped_edges(v, within):
+            x, y, b = inst.edges[e]  # satisfied when x_x - x_y = b
+            Wvw = W.setdefault((pos[v], pos[x + y - v]), np.zeros((q, q)))
+            Wvw[a, (a - b if x == v else a + b) % q] += c
+    if not W:
+        return 0.0
+    (iv, iw), W = np.asarray(list(W)).T, np.stack(list(W.values()))
+    P = pe.tuple_moments(list(itertools.product(verts, repeat=2))).reshape((k, k, q, q))
+    T = pe.tuple_moments([(verts[i], verts[j], u) for i, j in zip(iv, iw) for u in verts])
+    shift = ((a[:, None, None] - a[:, None] - a) % q == 0).astype(float)  # [a, c, s]: a - c = s
+    pr = np.einsum("ijac,acs->ijs", P, shift)  # pPr[X_{v_i} - X_{v_j} = s]
+    pr[(pr < NEAR_ZERO_PSI) | np.eye(k, dtype=bool)[:, :, None]] = 0.0
+    M = np.einsum("pjs,acs->pjac", pr[iv], shift)
+    acc = np.einsum("pab,pab->", W, P[iv, iw]) + \
+        np.einsum("pab,pjabc,pjac->", W, T.reshape((len(W), k) + (q,) * 3), M)
+    return float(acc) / k ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .ug_core import (UGInstance, edges_inside, randomize_edges, satisfied_mask,
                       value as ug_value)
 
 TV_EXCEEDANCE_CONST = 16.0   # instantiated O(.) constant in the TV-exceedance bound
+THETA = 1.0                  # generic Theta(.) constant of the event-search thresholds
 ROUND_J_CONST = 2.0          # instantiated O(delta + zeta) constant in the rounding guarantee
 ANCHOR_FLOOR = 1e-9          # Condition&Round skips an anchor u with pE[X_u = 0] below this
 
@@ -52,14 +53,12 @@ class RoundingConfig:
     gamma: float = 0.05              # coverage target fraction (while-loop)
     degree: int = 4
     seed: int = 0
-    theta: float = 1.0               # generic Theta(.) constant from the analysis
     thr_scale: float = 0.5           # density threshold = thr_scale * exp(-r);
                                      # must be < 1 so the whole-graph part can fire at r = 0
     anchor_budget: int = 32
     tuple_budget: int = 8
     mi_pair_budget: int = 30
     tv_pair_budget: int = 30
-    iteration_cap: Optional[int] = None
 
     def __post_init__(self):
         if self.regime not in ("close_to_1", "low_completeness"):
@@ -131,20 +130,20 @@ def condition_and_round(pe: PseudoExpectation, inst: UGInstance,
     verts = list(scope) if scope is not None else list(range(pe.n_vertices))
     within = set(verts) if scope is not None else None
     anchors = verts[:anchor_budget]
-    best_x, best_v, rows = None, -1.0, []
-    failures = 0
-    for u in anchors:
-        z = pe.moment(var(u, 0))
-        if z < ANCHOR_FLOOR:
+    if not anchors:
+        raise NearZeroEvent("no anchor to condition on")
+    best_x, best_v, rows, failures = None, -1.0, [], 0
+    z = pe.label_moments(1)[1][anchors, 0]  # pE[X_{u,0}]
+    # marg[k, i, b] = pE[X_{v_i,b} X_{u_k,0}] over every anchor u_k and v_i in verts
+    marg = pe.tuple_moments([(v, u) for u in anchors for v in verts])[..., 0]
+    marg = marg.reshape(len(anchors), len(verts), pe.q)
+    for k, u in enumerate(anchors):
+        if z[k] < ANCHOR_FLOOR:
             failures += 1
             continue
         x = np.zeros(inst.vertex_count, dtype=np.int64)
-        for v in verts:
-            if v == u:
-                x[v] = 0
-                continue
-            marg = np.array([pe.moment(mul(var(v, b), var(u, 0))) for b in range(pe.q)])
-            x[v] = int(np.argmax(np.round(marg / z, 12)))  # lexicographic tie-break
+        x[verts] = np.argmax(np.round(marg[k] / z[k], 12), axis=1)  # lexicographic tie-break
+        x[u] = 0
         val = _scoped_value(inst, x, within)
         rows.append({"anchor": int(u), "value": val})
         if val > best_v + 1e-15:
@@ -186,7 +185,7 @@ def find_event_subcube(inst: UGInstance, prod: ProductPE, cfg: RoundingConfig
 
     close-to-1 regime: event = density of G_s in J|_a (a within-budget stand-in
     for the step-thresholded density event); score = pE[P (delta - thr)] with
-    thr = theta * exp(-r).  low-completeness: score from the both-satisfied
+    thr = thr_scale * exp(-r).  low-completeness: score from the both-satisfied
     density with the maximality filter on proper sub-restrictions.
     """
     g = inst.graph_tag
@@ -214,14 +213,14 @@ def find_event_subcube(inst: UGInstance, prod: ProductPE, cfg: RoundingConfig
                         event_poly, event_kind = dens, "density"
                     score_poly = poly_mul(event_poly if side_budget >= 4 else dens,
                                           poly_add(dens, {ONE: -thr}))
-                    floor = cfg.theta * sqrt(max(cfg.eps, 0.0)) / (
+                    floor = THETA * sqrt(max(cfg.eps, 0.0)) / (
                         q * g.ell ** j * np.exp(cfg.r))
                 else:
-                    thr = cfg.theta * cfg.c ** 2 * eps_sched[j] ** 2 / (20 * max(cfg.r, 1))
+                    thr = THETA * cfg.c ** 2 * eps_sched[j] ** 2 / (20 * max(cfg.r, 1))
                     event_poly, event_kind = dens, "density"
                     inner = both_sat_density_poly(inst, sub_ids, s)
                     score_poly = poly_mul(dens, poly_add(inner, {ONE: -thr}))
-                    floor = cfg.theta * cfg.c ** 2 / (8 * max(cfg.r, 1) * g.ell ** j * q)
+                    floor = THETA * cfg.c ** 2 / (8 * max(cfg.r, 1) * g.ell ** j * q)
                 # maximality filter: skip if G_s already dense in a proper sub-restriction
                 maximal = True
                 if j > 0:
@@ -301,7 +300,7 @@ def rt_reduce(pe: PseudoExpectation, S: Sequence[int], E: EventPoly,
         accepted = False
         for t in order[:max(4, len(pairs) // 2)]:
             (u, v) = pairs[int(t)]
-            joint = mu[side].pair_marginal(u, v)
+            joint = mu[side].tuple_moments([(u, v)])[0]
             cells = sorted(((float(joint[a, b]), a, b) for a in range(pe.q)
                             for b in range(pe.q)), key=lambda c: (-round(c[0], 12),
                                                                   c[1], c[2]))
@@ -464,12 +463,11 @@ def main_algorithm(inst: UGInstance, cfg: RoundingConfig,
                    ) -> tuple[np.ndarray, RoundingTrace]:
     """Iterate: solve the relaxation, SubRound a subcube, freeze its new
     vertices, randomize the edges it touches, repeat until gamma/2 coverage or
-    the iteration cap; output the completion with label 0 on unassigned."""
+    n iterations; output the completion with label 0 on unassigned."""
     g = inst.graph_tag
     if g is None:
         raise ValueError("main_algorithm needs a Johnson graph tag")
     n = inst.vertex_count
-    cap = cfg.iteration_cap if cfg.iteration_cap is not None else n
     trace = RoundingTrace(config={k: (v if not isinstance(v, np.ndarray) else list(v))
                                   for k, v in asdict(cfg).items()})
     current = inst
@@ -477,7 +475,7 @@ def main_algorithm(inst: UGInstance, cfg: RoundingConfig,
     labels = np.full(n, -1, dtype=np.int64)
     rng = np.random.default_rng(cfg.seed + 1000)
     j = 0
-    while len(covered) < cfg.gamma / 2 * n and j < cap:
+    while len(covered) < cfg.gamma / 2 * n and j < n:
         j += 1
         rel = sos.relax(current, cfg.degree)
         pe = sos.solve(rel, seed=cfg.seed + j)

@@ -4,7 +4,9 @@ A degree-D pseudoexpectation is exposed as a moment oracle over canonical
 monomials in the variables X_{u,a} (and a primed copy in product mode).  The
 solver works in the reduced basis with labels 1..q-1 (label 0 eliminated via
 the partition constraint), which makes Booleanity, annihilation, and the
-partition axioms hold identically; general moments are evaluated by expansion.
+partition axioms hold identically.  Every value the library reads, `pE` of a
+polynomial or a local joint, is gathered from the single copies' full-label
+moment arrays; each class's scalar `moment` is the uncached reference.
 
 Product pseudoexpectations support per-side degree up to D (the Kronecker
 product of two PSD moment matrices is PSD, so squares of polynomials with
@@ -82,7 +84,13 @@ class PseudoExpectation:
         raise NotImplementedError
 
     def pE(self, p: Poly) -> float:
-        return sum(c * self.moment(m) for m, c in p.items() if m is not ZERO and c != 0.0)
+        """sum_m c_m pE[m], every monomial gathered from the label moments at once
+        and summed in p's order, as the scalar definition sums them;
+        DegreeExhausted over the degree, ValueError on a primed variable."""
+        coef, (rows, primed) = _poly_rows(p, self.n_vertices, self.q)
+        if primed.shape[1]:
+            raise ValueError("single-copy pseudoexpectation got a primed variable")
+        return sum((coef * _rows_moments(self, rows, np.zeros((1, 0), np.int32))[0]).tolist(), 0.0)
 
     def exact_support(self) -> Optional[list[tuple]]:
         """The weighted support of a distribution-backed pseudoexpectation:
@@ -120,17 +128,13 @@ class PseudoExpectation:
             self._flat = have = (d, flat)
         return have[1]
 
-    def _fill_label_moments(self, d: int) -> list[np.ndarray]:
-        n, q = self.n_vertices, self.q
-        flat = np.fromiter(map(self.moment, monomial_classes(n, q, d, False)), float)
-        ends = np.cumsum([math.comb(n, k) * q ** k for k in range(d + 1)])
-        return [F.reshape((-1,) + (q,) * k) for k, F in enumerate(np.split(flat, ends[:-1]))]
-
     # convenience views -----------------------------------------------------
 
-    def pair_marginal(self, u: int, v: int) -> np.ndarray:
-        """M[a, b] = pE[X_{u,a} X_{v,b}], gathered from the label moments."""
-        return _joint_moments(self, ((u, v),), (ONE,))[0, 0]
+    def tuple_moments(self, V: Sequence[tuple[int, ...]]) -> np.ndarray:
+        """A[b, a_1, ..., a_k] = pE[X_{V_b1,a_1} ... X_{V_bk,a_k}] over a batch of
+        vertex k-tuples V (repeated vertices merge or annihilate); the pair
+        marginal of (u, v) is tuple_moments([(u, v)])[0]."""
+        return _joint_moments(self, tuple(V), (ONE,))[0]
 
     def value(self, inst: UGInstance, copy: int = 0) -> float:
         return self.pE(val_poly(inst, copy))
@@ -139,12 +143,6 @@ class PseudoExpectation:
 def val_poly(inst: UGInstance, copy: int = 0) -> Poly:
     return poly_sum((w, edge_sat_poly(inst, k, copy))
                     for k, w in enumerate(inst.weight_array().tolist()))
-
-
-def vertex_val_poly(inst: UGInstance, u: int, copy: int = 0,
-                    within: Optional[set] = None) -> Poly:
-    """val_u(X) over the edges of u inside `within`, degree 2."""
-    return poly_sum((c, edge_sat_poly(inst, k, copy)) for k, c in inst.scoped_edges(u, within))
 
 
 def vertex_val_and_poly(inst: UGInstance, u: int, within: Optional[set] = None) -> Poly:
@@ -240,7 +238,6 @@ class SolvedPE(PseudoExpectation):
         self.table = table
         self.solve_info = solve_info or {}
         self.mode = "single"
-        self._cache: dict[Monomial, float] = {}
 
     @property
     def degree(self) -> int:
@@ -249,22 +246,13 @@ class SolvedPE(PseudoExpectation):
     def moment(self, m: Monomial) -> float:
         if m is ZERO:
             return 0.0
-        hit = self._cache.get(m)  # a cached monomial has passed the degree check
-        if hit is not None:
-            return hit
         self._check_degree(m)
-        if all(a != 0 for (_, _, a) in m):
-            out = self.table.get(m)
-            if out is None:
-                raise DegreeExhausted(f"monomial {mon.monomial_name(m)} missing from table")
-        else:
-            out = 0.0
-            for mm, cc in reduced_terms(m, self.q):
-                val = self.table.get(mm)
-                if val is None:
-                    raise DegreeExhausted(f"monomial {mon.monomial_name(mm)} missing")
-                out += cc * val
-        self._cache[m] = out
+        out = 0.0
+        for mm, cc in reduced_terms(m, self.q):
+            val = self.table.get(mm)
+            if val is None:
+                raise DegreeExhausted(f"monomial {mon.monomial_name(mm)} missing from table")
+            out += cc * val
         return out
 
     def reduced_moments(self, d: int) -> np.ndarray:
@@ -311,7 +299,6 @@ class ConditionedPE(PseudoExpectation):
         self.q, self.n_vertices = base.q, base.n_vertices
         self.mode = "single"
         self._degree = base.degree - d
-        self._cache: dict[Monomial, float] = {}
 
     @property
     def degree(self) -> int:
@@ -331,19 +318,13 @@ class ConditionedPE(PseudoExpectation):
     def moment(self, m: Monomial) -> float:
         if m is ZERO:
             return 0.0
-        hit = self._cache.get(m)  # a cached monomial has passed the degree check
-        if hit is not None:
-            return hit
         self._check_degree(m)
         num = 0.0
         for me, ce in self.event.poly.items():
             mm = mul(m, me)
-            if mm is ZERO:
-                continue
-            num += ce * self.base.moment(mm)
-        out = num / self.z
-        self._cache[m] = out
-        return out
+            if mm is not ZERO:
+                num += ce * self.base.moment(mm)
+        return num / self.z
 
     def _fill_label_moments(self, d: int) -> list[np.ndarray]:
         """The base's moments gathered at m e for every class m and event term
@@ -383,25 +364,23 @@ def condition(pe: PseudoExpectation, event: EventPoly) -> PseudoExpectation:
 
 
 class ShiftSymmetrizedPE(PseudoExpectation):
-    """Average of the base moments over global label shifts."""
+    """Average of a single copy's moments over global label shifts."""
 
     def __init__(self, base: PseudoExpectation):
+        if base.mode != "single":
+            raise ValueError("ShiftSymmetrizedPE is single-copy; symmetrise the factors")
         self.base = base
-        self.q, self.n_vertices, self.mode = base.q, base.n_vertices, base.mode
-        self._cache: dict[Monomial, float] = {}
+        self.q, self.n_vertices = base.q, base.n_vertices
 
     @property
     def degree(self) -> int:
         return self.base.degree
 
-    def side_degree(self, copy: int) -> int:
-        return self.base.side_degree(copy)
-
-    def exact_support(self) -> Optional[list[tuple]]:
+    def exact_support(self) -> Optional[list[tuple[float, np.ndarray]]]:
         return self._orbit
 
     @cached_property
-    def _orbit(self) -> Optional[list[tuple]]:
+    def _orbit(self) -> Optional[list[tuple[float, np.ndarray]]]:
         """The base support shifted by every label s, each copy at weight 1/q."""
         inner = self.base.exact_support()
         if inner is None:
@@ -412,16 +391,11 @@ class ShiftSymmetrizedPE(PseudoExpectation):
     def moment(self, m: Monomial) -> float:
         if m is ZERO:
             return 0.0
-        hit = self._cache.get(m)
-        if hit is not None:
-            return hit
         q = self.q
         tot = 0.0
         for s in range(q):
             tot += self.base.moment(tuple((c, u, (a + s) % q) for (c, u, a) in m))
-        out = tot / q
-        self._cache[m] = out
-        return out
+        return tot / q
 
     def _fill_label_moments(self, d: int) -> list[np.ndarray]:
         """The base's arrays rolled by every shift s on every label axis, averaged."""
@@ -430,7 +404,7 @@ class ShiftSymmetrizedPE(PseudoExpectation):
 
 
 def shift_symmetrize(pe: PseudoExpectation) -> ShiftSymmetrizedPE:
-    """Idempotent: an already symmetrised pe is returned as it is, cache included."""
+    """Idempotent: an already symmetrised pe is returned as it is, arrays included."""
     return pe if isinstance(pe, ShiftSymmetrizedPE) else ShiftSymmetrizedPE(pe)
 
 
@@ -447,14 +421,13 @@ class ProductPE(PseudoExpectation):
             raise ValueError("product factors must be single-copy")
         self.q, self.n_vertices = pe1.q, pe1.n_vertices
         self.mode = "product"
-        self.event, self.z = event, 1.0
-        self._cache: dict[Monomial, float] = {}
+        self.event, self.z = None, 1.0
         self._joints: dict[tuple, np.ndarray] = {}
         # the event is fixed, so each side's remaining degree is too
         self._side_degree = [pe.degree - (event.side_degree(c) if event else 0)
                              for c, pe in enumerate((self.pe1, self.pe2))]
         if event is not None:
-            self.z = sum(c * self._raw_moment(m) for m, c in event.poly.items() if m is not ZERO)
+            self.event, self.z = event, self.pE(event.poly)  # z under the unconditioned product
             if self.z < FLOOR_COND:
                 raise NearZeroEvent(f"pE[conditioning event] = {self.z} below {FLOOR_COND}")
 
@@ -478,29 +451,27 @@ class ProductPE(PseudoExpectation):
         return _renormalised([(p1 * p2 * mon.evaluate(ev, x1, x2), x1, x2)
                               for p1, x1 in s1 for p2, x2 in s2])
 
-    def _raw_moment(self, m: Monomial) -> float:
-        m0, m1 = split_copies(m)
-        return self.pe1.moment(m0) * self.pe2.moment(m1)
-
     def moment(self, m: Monomial) -> float:
         if m is ZERO:
             return 0.0
-        hit = self._cache.get(m)  # a cached monomial has passed the degree check
-        if hit is not None:
-            return hit
         self._check_degree(m)
-        if self.event is None:
-            out = self._raw_moment(m)
-        else:
-            num = 0.0
-            for me, ce in self.event.poly.items():
-                mm = mul(m, me)
-                if mm is ZERO:
-                    continue
-                num += ce * self._raw_moment(mm)
-            out = num / self.z
-        self._cache[m] = out
-        return out
+        num = 0.0
+        for me, ce in (self.event.poly if self.event is not None else {ONE: 1.0}).items():
+            mm = mul(m, me)
+            if mm is not ZERO:
+                m0, m1 = split_copies(mm)
+                num += ce * (self.pe1.moment(m0) * self.pe2.moment(m1))
+        return num / self.z
+
+    def pE(self, p: Poly) -> float:
+        """(1/z) sum_m c_m sum_e c_e pE_1[m_0 e_0] pE_2[m_1 e_1] over the terms m
+        = m_0 m'_1 of p (in p's order) and e = e_0 e'_1 of the event, gathered as
+        joint gathers; DegreeExhausted when m and e do not fit a factor."""
+        n, q = self.n_vertices, self.q
+        (coef, rows), (ecoef, parts) = (_poly_rows(x, n, q) for x in (
+            p, self.event.poly if self.event is not None else {ONE: 1.0}))
+        a0, a1 = (_rows_moments(pe, rows[c], parts[c]) for c, pe in enumerate((self.pe1, self.pe2)))
+        return sum((ecoef @ (a0 * a1) * coef).tolist(), 0.0) / self.z
 
     def joint(self, V0: Sequence[Sequence[int]], V1: Sequence[Sequence[int]]) -> np.ndarray:
         """J[b, a_1..a_k, c_1..c_l] = pE[X_{V0[b]_1,a_1} ... X_{V0[b]_k,a_k}
@@ -561,6 +532,12 @@ class ProductMarginalPE(PseudoExpectation):
         if m is ZERO:
             return 0.0
         return self.prod.moment(tuple((self.copy, u, a) for (_, u, a) in m))
+
+    def _fill_label_moments(self, d: int) -> list[np.ndarray]:
+        """The product's joints over every k-subset on this copy, none on the other."""
+        n = self.n_vertices
+        sides = [(_combinations(n, k), [()] * math.comb(n, k)) for k in range(d + 1)]
+        return [self.prod.joint(*(s if self.copy == 0 else s[::-1])) for s in sides]
 
 
 def product(pe: PseudoExpectation) -> ProductPE:
@@ -707,21 +684,44 @@ def _class_index(rows: np.ndarray, n: int, q: int) -> np.ndarray:
     return out
 
 
+def _id_rows(monos: Sequence[Monomial], n: int, q: int) -> np.ndarray:
+    """Each monomial's variable ids u q + a, copy tags dropped, padded with n q."""
+    lens = np.fromiter(map(len, monos), np.int64, len(monos))
+    rows = np.full((len(monos), lens.max(initial=0)), n * q, dtype=np.int32)
+    rows[np.arange(rows.shape[1]) < lens[:, None]] = [u * q + a for m in monos for (_, u, a) in m]
+    return rows
+
+
+def _poly_rows(p: Poly, n: int, q: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The coefficients of p's nonzero terms and, per copy, their parts' _id_rows."""
+    terms = [(m, c) for m, c in p.items() if m is not ZERO and c != 0.0]
+    sides = [split_copies(m) for m, _ in terms]
+    return (np.fromiter((c for _, c in terms), float, len(terms)),
+            [_id_rows([t[c] for t in sides], n, q) for c in (0, 1)])
+
+
+def _product_index(n: int, q: int, rows: np.ndarray, parts: np.ndarray) -> np.ndarray:
+    """The class index of row_b parts_t at [t, b], both given as _id_rows."""
+    (B, k), (T, w) = rows.shape, parts.shape
+    full = np.empty((T, B, k + w), dtype=np.int32)
+    full[..., :k], full[..., k:] = rows, parts[:, None]
+    return _class_index(full.reshape(T * B, k + w), n, q).reshape(T, B)
+
+
+def _rows_moments(pe: PseudoExpectation, rows: np.ndarray, parts: np.ndarray) -> np.ndarray:
+    """A[t, b] = pE[row_b parts_t] of a single copy, _id_rows both."""
+    flat = pe.flat_moments(rows.shape[1] + parts.shape[1])
+    return flat[_product_index(pe.n_vertices, pe.q, rows, parts)]
+
+
 def _tuple_index(n: int, q: int, V: np.ndarray, parts: tuple) -> np.ndarray:
     """The class index, in monomial_classes(n, q, d, False), of X_{V_b1,a_1}
     ... X_{V_bk,a_k} parts[t] at [t, b, a_1, ..., a_k] for the rows V_b of the
     (B, k) vertex array V; -1 where it annihilates."""
     B, k = V.shape
-    w = max(map(len, parts))
-    ids = np.full((len(parts), w), n * q, dtype=np.int32)
-    for t, m in enumerate(parts):
-        ids[t, :len(m)] = [u * q + a for (_, u, a) in m]
     labels = np.asarray(list(itertools.product(range(q), repeat=k)), dtype=np.int32)
-    rows = np.empty((len(parts), B, q ** k, k + w), dtype=np.int32)
-    rows[..., :k] = V[:, None, :] * q + labels.reshape(q ** k, k)
-    rows[..., k:] = ids[:, None, None]
-    rows = rows.reshape(len(parts) * B * q ** k, k + w)
-    return _class_index(rows, n, q).reshape((len(parts), B) + (q,) * k)
+    rows = (V[:, None, :] * q + labels.reshape(q ** k, k)).reshape(B * q ** k, k)
+    return _product_index(n, q, rows, _id_rows(parts, n, q)).reshape((len(parts), B) + (q,) * k)
 
 
 @lru_cache(maxsize=64)
@@ -754,20 +754,17 @@ def _poly_to_class_vec(p: Poly, q: int, class_index: dict, n_classes: int) -> np
     return vec
 
 
-def uniform_reduced_table(classes: Sequence[Monomial], q: int) -> np.ndarray:
-    return np.asarray([q ** (-mon.degree(m)) for m in classes])
+def uniform_reduced_table(n: int, q: int, D: int) -> np.ndarray:
+    """q^-k on every class of degree k of monomial_classes(n, q, D, True)."""
+    return np.concatenate([np.full(math.comb(n, k) * (q - 1) ** k, q ** -k) for k in range(D + 1)])
 
 
-def assignment_reduced_table(classes: Sequence[Monomial], x: np.ndarray, q: int) -> np.ndarray:
-    """Reduced moments of the shift orbit of the integral assignment x."""
-    y = np.empty(len(classes))
-    for k, m in enumerate(classes):
-        cnt = 0
-        for s in range(q):
-            if all((x[u] + s) % q == a for (_, u, a) in m):
-                cnt += 1
-        y[k] = cnt / q
-    return y
+def assignment_reduced_table(x: np.ndarray, q: int, D: int) -> np.ndarray:
+    """Reduced moments of the shift orbit of the integral assignment x: its
+    label moments at labels >= 1, in monomial_classes(len(x), q, D, True) order."""
+    L = shift_symmetrize(from_assignment(x, q)).label_moments(D)
+    return np.concatenate([F[(slice(None),) + (slice(1, None),) * k].ravel()
+                           for k, F in enumerate(L)])
 
 
 def relax(inst: UGInstance, D: int) -> Relaxation:
@@ -806,7 +803,7 @@ def relax(inst: UGInstance, D: int) -> Relaxation:
     prob = MomentSDP(side=B, n_classes=len(classes),
                      entry_i=ei[~const], entry_j=ej[~const], entry_k=ek[~const],
                      const_entries=(ei[const], ej[const]),
-                     c=cvec, uniform_y=uniform_reduced_table(classes, q), G=G, g0=g0)
+                     c=cvec, uniform_y=uniform_reduced_table(n, q, D), G=G, g0=g0)
     return Relaxation(inst, D, classes, prob)
 
 
@@ -875,7 +872,7 @@ def solve(relaxation: Relaxation, seed: int = 0) -> SolvedPE:
     prob = relaxation.problem
     inst, q = relaxation.inst, relaxation.inst.q
     x_ws, v_ws = _local_search(inst, seed)
-    y = y_ws = assignment_reduced_table(relaxation.classes, x_ws, q)
+    y = y_ws = assignment_reduced_table(x_ws, q, relaxation.D)
     info = {"warm_value": v_ws, "objective": float(prob.c @ y_ws), "iterations": 0}
     if v_ws >= 1.0 - 1e-12:
         info.update(method="warm_certificate", source="warm_certificate", gap=0.0,
@@ -923,7 +920,7 @@ def validate(pe: PseudoExpectation, side_cap: int = 1800, seed: int = 0) -> dict
     names the invariants that do not hold; rep["ok"] is true when it is empty."""
     rng = np.random.default_rng(seed)  # copy 0 draws first, as a single copy does
     rep: dict = {"mode": pe.mode, "degree": pe.degree}
-    rep["scaling_residual"] = abs(pe.moment(ONE) - 1.0)
+    rep["scaling_residual"] = abs(pe.pE({ONE: 1.0}) - 1.0)
     failed = set() if rep["scaling_residual"] <= 1e-6 else {"scaling_residual"}
     targets = ([pe] if pe.mode == "single"
                else [pe.marginal_pe(0), pe.marginal_pe(1)])  # type: ignore[attr-defined]
@@ -961,8 +958,7 @@ def _single_copy_checks(target: PseudoExpectation, side_cap: int,
             rep["moment_matrix_basis"] = "reduced"
     rep["min_eig"] = None if M is None else float(np.linalg.eigvalsh(M).min())
     rep["moment_matrix_side"] = None if M is None else len(M)
-    part = 0.0
-    boolres = 0.0
+    part = boolres = 0.0
     n, q = target.n_vertices, target.q
     probe_monomials: list[Monomial] = [ONE]
     max_extra = max(0, min(target.degree - 1, 2))
@@ -973,24 +969,23 @@ def _single_copy_checks(target: PseudoExpectation, side_cap: int,
         if m is not ZERO:
             probe_monomials.append(m)
     for m in probe_monomials:
-        used = {u for (_, u, _) in m}
-        free = [u for u in range(n) if u not in used][:4]
-        for u in free:
-            s = sum(target.moment(mul(m, var(u, a))) for a in range(q))
-            part = max(part, abs(s - target.moment(m)))
-        for (_, u, a) in m:
-            boolres = max(boolres, abs(target.moment(mul(m, var(u, a))) - target.moment(m)))
+        # pE[m], then pE[m X_{u,a}] over the labels a of the first four vertices u
+        # outside m (partition) and over the variables X_{u,a} of m (Booleanity)
+        free = [u for u in range(n) if all(u != w for (_, w, _) in m)][:4]
+        ext = [mul(m, var(u, a)) for u in free for a in range(q)] + [mul(m, (v,)) for v in m]
+        vals = _rows_moments(target, _id_rows([m] + ext, n, q), np.zeros((1, 0), np.int32))[0]
+        cut = 1 + len(free) * q
+        part = float(np.abs(vals[1:cut].reshape(-1, q).sum(axis=1) - vals[0]).max(initial=part))
+        boolres = float(np.abs(vals[cut:] - vals[0]).max(initial=boolres))
     rep["partition_residual"] = part
     rep["booleanity_residual"] = boolres
     worst_neg, worst_sum = 0.0, 0.0
     if target.degree >= 2:
         pairs = list(itertools.combinations(range(n), 2))
         take = rng.choice(len(pairs), size=min(40, len(pairs)), replace=False)
-        for t in take:
-            u, v = pairs[int(t)]
-            Mm = target.pair_marginal(u, v)
-            worst_neg = min(worst_neg, float(Mm.min()))
-            worst_sum = max(worst_sum, abs(float(Mm.sum()) - 1.0))
+        Mm = target.tuple_moments([pairs[int(t)] for t in take])
+        worst_neg = min(worst_neg, float(Mm.min()))
+        worst_sum = float(np.abs(Mm.sum(axis=(1, 2)) - 1.0).max(initial=0.0))
     rep["marginal_min_entry"] = worst_neg
     rep["marginal_sum_residual"] = worst_sum
     holds = {"partition_residual": part <= 1e-6,

@@ -140,6 +140,11 @@ class _Lookup(sos.PseudoExpectation):
     def moment(self, m):
         return self.table[m]
 
+    def _fill_label_moments(self, d):
+        """Every class's moment as one flat block, in class order."""
+        classes = sos.monomial_classes(self.n_vertices, self.q, d, False)
+        return [np.fromiter(map(self.moment, classes), float, len(classes))]
+
 
 @pytest.mark.parametrize("n,q,D", CASES, ids=IDS)
 def test_moment_matrix_matches_pair_loop(n, q, D):

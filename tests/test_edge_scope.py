@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ugjohnson import johnson, sos, ug_core
-from ugjohnson.monomials import mul, poly_add, poly_mul, poly_scale, var
+from ugjohnson.monomials import poly_add, poly_mul, poly_scale
 
 GRAPHS = {n: johnson.build(n, 2, 0.5) for n in (4, 5)}
 
@@ -35,18 +35,6 @@ def _reference_scope(inst, u, within):
     if within is not None:
         idx = [k for k in idx if inst.edges[k][0] in within and inst.edges[k][1] in within]
     return idx, sum(float(inst.weights[k]) for k in idx)
-
-
-def reference_vertex_val_poly(inst, u, copy=0, within=None):
-    """val_u(X) as a polynomial: a scan of all edges for u's, normalised by wtot."""
-    idx, wtot = _reference_scope(inst, u, within)
-    out = {}
-    for k in idx:
-        (a_, b_, s) = inst.edges[k]
-        for a in range(inst.q):
-            m = mul(var(a_, (a + s) % inst.q, copy), var(b_, a, copy))
-            out[m] = out.get(m, 0.0) + float(inst.weights[k]) / wtot
-    return out
 
 
 def reference_vertex_val_and_poly(inst, u, within=None):
@@ -85,10 +73,6 @@ def test_scoped_vertex_values_match_the_per_edge_scans(inst, data):
         assert np.array_equal(ug_core.vertex_values(inst, mask, within=within),
                               reference_vertex_values(inst, mask, within=within))
     for u in range(n):
-        for copy in (0, 1):
-            got = sos.vertex_val_poly(inst, u, copy=copy, within=within)
-            assert list(got.items()) == list(
-                reference_vertex_val_poly(inst, u, copy=copy, within=within).items())
         got = sos.vertex_val_and_poly(inst, u, within)
         assert list(got.items()) == list(reference_vertex_val_and_poly(inst, u, within).items())
 
@@ -101,7 +85,7 @@ def test_a_vertex_with_no_edge_in_scope_has_value_zero_and_no_polynomial():
     comp = next(v for v in range(inst.vertex_count) if v != u and v not in nbrs)
     vals = ug_core.vertex_values(inst, ug_core.satisfied_mask(inst, A), within={u, comp})
     assert vals[u] == 0.0 and vals[comp] == 0.0
-    assert sos.vertex_val_poly(inst, u, within={u, comp}) == {}
+    assert inst.scoped_edges(u, within={u, comp}) == []
     assert inst.scoped_edges(u, within={comp}) == []
 
 

@@ -18,6 +18,8 @@ from ugjohnson.monomials import (ONE, EventPoly, evaluate, poly_add, poly_mul, p
                                  var)
 from ugjohnson.rounding import both_sat_density_poly, density_poly
 
+import poly_oracle
+
 
 def ref_support_pairs(prod):
     def expand(pe):
@@ -95,7 +97,7 @@ def distributions(draw, q):
 
 def surrogate_event(inst, u, copy, beta, nu=0.1):
     """The degree-1 step surrogate on val_u: negative where val_u < beta - nu."""
-    val = sos.vertex_val_poly(inst, u, copy=copy)
+    val = poly_oracle.vertex_val_poly(inst, u, copy=copy)
     poly = poly_add(poly_scale(val, 1.0 / (2 * nu)), {ONE: (nu - beta) / (2 * nu)})
     return EventPoly(poly, provenance="surrogate")
 

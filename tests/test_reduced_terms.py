@@ -77,15 +77,6 @@ def _conditioned_product(n, q):
     return prod.condition(event)
 
 
-def test_shift_symmetrized_product_matches_canon():
-    n, q = 5, 3
-    base = _conditioned_product(n, q)
-    pe = sos.shift_symmetrize(base)
-    assert pe.mode == "product"
-    for m in _random_monomials(np.random.default_rng(5), n, q, (0, 1), 2, 200):
-        assert pe.moment(m) == _shift_reference(base, m)
-
-
 @pytest.mark.parametrize("conditioned", [False, True], ids=["plain", "conditioned"])
 @pytest.mark.parametrize("copy", [0, 1])
 def test_product_marginal_matches_canon(copy, conditioned):

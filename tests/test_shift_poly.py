@@ -50,9 +50,6 @@ def test_value_polys_keep_the_oracle_key_order(q):
     for copy in (0, 1):
         assert list(sos.val_poly(inst, copy).items()) == \
             list(oracle.val_poly(inst, copy).items())
-        for u, scope in itertools.product(range(inst.vertex_count), (None, within)):
-            assert list(sos.vertex_val_poly(inst, u, copy, scope).items()) == \
-                list(oracle.vertex_val_poly(inst, u, copy, scope).items())
     for u, scope in itertools.product(range(inst.vertex_count), (None, within)):
         assert list(sos.vertex_val_and_poly(inst, u, scope).items()) == \
             list(oracle.vertex_val_and_poly(inst, u, scope).items())

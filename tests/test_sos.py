@@ -14,6 +14,8 @@ from ugjohnson.sos import (DegreeExhausted, NearZeroEvent, condition,
                            from_assignment, mixture, moment_matrix, product,
                            relax, shift_symmetrize, solve, validate, z_poly)
 
+import poly_oracle
+
 TRIANGLE = ug_core.UGInstance(3, 2, ((0, 1, 1), (1, 2, 1), (0, 2, 1)),
                               tuple([Fraction(1, 3)] * 3))
 
@@ -110,7 +112,7 @@ def _planted(n, q, eps, seed):
 
 def _warm_table(rel, seed=0):
     x, _ = sos._local_search(rel.inst, seed)
-    y = sos.assignment_reduced_table(rel.classes, x, rel.inst.q)
+    y = sos.assignment_reduced_table(x, rel.inst.q, rel.D)
     return {m: float(y[k]) for k, m in enumerate(rel.classes)}
 
 
@@ -269,8 +271,8 @@ def test_conditioned_mixture_support_matches_moments(q, data):
     support = cond.exact_support()
     assert cond.exact_support() is support  # computed once per object
     assert all(x[u] == a and x[v] == b for _, x in support)
-    for p in (sos.val_poly(inst), poly_mul(sos.vertex_val_poly(inst, u),
-                                           sos.vertex_val_poly(inst, v))):
+    for p in (sos.val_poly(inst), poly_mul(poly_oracle.vertex_val_poly(inst, u),
+                                           poly_oracle.vertex_val_poly(inst, v))):
         want = sum(w * evaluate(p, x) for w, x in support)
         assert cond.pE(p) == pytest.approx(want, abs=1e-12, rel=0)
     prod, p = sos.ProductPE(cond, d), sos.vertex_val_and_poly(inst, u)
@@ -379,6 +381,9 @@ def test_shift_symmetrize(j421_solved):
     again = shift_symmetrize(sym)
     assert again.moment(mul(var(0, 1), var(2, 0))) == pytest.approx(
         sym.moment(mul(var(0, 1), var(2, 0))))
+    # a product has no label arrays to roll: its factors are symmetrised instead
+    with pytest.raises(ValueError, match="single-copy"):
+        shift_symmetrize(product(pe))
 
 
 def test_z_variable_identities(j421_solved):
@@ -412,7 +417,7 @@ def test_pseudo_cauchy_schwarz(j421_solved):
 def test_local_marginals_are_distributions(j421_solved):
     _, _, _, pe = j421_solved
     for (u, v) in itertools.combinations(range(6), 2):
-        M = pe.pair_marginal(u, v)
+        M = pe.tuple_moments([(u, v)])[0]
         assert M.min() >= -1e-8
         assert M.sum() == pytest.approx(1.0, abs=1e-8)
 
@@ -421,7 +426,7 @@ def test_degree2_pair_nonneg_constraints():
     # at D = 2 the relaxation adds entrywise nonnegativity explicitly
     pe = solve(relax(TRIANGLE, 2))
     for (u, v) in itertools.combinations(range(3), 2):
-        assert pe.pair_marginal(u, v).min() >= -1e-7
+        assert pe.tuple_moments([(u, v)])[0].min() >= -1e-7
 
 
 def test_moment_matrix_psd_integral():
