@@ -161,9 +161,6 @@ def cmd_spectra(args) -> int:
 def cmd_verify(args) -> int:
     from . import verify as V
     if args.suite == "pe":
-        if args.pe_file is None:
-            print("--suite pe needs --pe-file", file=sys.stderr)
-            return 2
         return _verify_pe_file(args)
     suite = {
         "spectra": V.suite_spectra,
@@ -184,14 +181,30 @@ def cmd_verify(args) -> int:
     return _emit(report, args.report)
 
 
+def _load_pe_file(path: str):
+    """The SolvedPE of a `solve --out` file; a ValueError names a missing or unexpected key."""
+    from . import sos
+    from .monomials import monomial_name
+    with open(path) as fh:
+        d = json.load(fh)
+    (n, q, D), table = (d["header"][k] for k in ("n", "q", "degree")), d["table"]
+    names = [monomial_name(m) for m in sos.monomial_classes(n, q, D, True)]
+    bad = [f"missing key {k}" for k in names if k not in table] + \
+        [f"unexpected key {k}" for k in sorted(table.keys() - set(names))]
+    if bad:
+        raise ValueError(f"{path}: {bad[0]} ({len(bad)} bad keys)")
+    return sos.SolvedPE(n, q, D, [float(table[k]) for k in names])  # in class order
+
+
 def _verify_pe_file(args) -> int:
     from . import sos
-    from .monomials import parse_monomial
-    with open(args.pe_file) as fh:
-        d = json.load(fh)
-    hdr = d["header"]
-    table = {parse_monomial(k): float(v) for k, v in d["table"].items()}
-    pe = sos.SolvedPE(hdr["n"], hdr["q"], hdr["degree"], table)
+    try:
+        if args.pe_file is None:
+            raise ValueError("--suite pe needs --pe-file")
+        pe = _load_pe_file(args.pe_file)
+    except ValueError as err:
+        print(err, file=sys.stderr)
+        return 2
     rep = sos.validate(pe)
     failed = rep["failed"]
     report = {"config": _args_dict(args), "validation": rep,

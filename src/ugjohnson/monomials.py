@@ -68,18 +68,6 @@ def monomial_name(m) -> str:
     return "|".join(("X" if c == 0 else "Xp") + f":{u}:{a}" for (c, u, a) in m)
 
 
-def parse_monomial(name: str):
-    if name == "0":
-        return ZERO
-    if name == "1":
-        return ONE
-    out = []
-    for part in name.split("|"):
-        tag, u, a = part.split(":")
-        out.append((0 if tag == "X" else 1, int(u), int(a)))
-    return canon(out)
-
-
 # ---------------------------------------------------------------------------
 # sparse polynomials
 

@@ -4,9 +4,10 @@ A degree-D pseudoexpectation is exposed as a moment oracle over canonical
 monomials in the variables X_{u,a} (and a primed copy in product mode).  The
 solver works in the reduced basis with labels 1..q-1 (label 0 eliminated via
 the partition constraint), which makes Booleanity, annihilation, and the
-partition axioms hold identically.  Every value the library reads, `pE` of a
-polynomial or a local joint, is gathered from the single copies' full-label
-moment arrays; each class's scalar `moment` is the uncached reference.
+partition axioms hold identically; a solved table is its reduced vector.
+Every value the library reads, `pE` of a polynomial or a local joint, is
+gathered from the single copies' full-label moment arrays; each class's
+scalar `moment` is the uncached reference.
 
 Product pseudoexpectations support per-side degree up to D (the Kronecker
 product of two PSD moment matrices is PSD, so squares of polynomials with
@@ -20,6 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import Optional, Sequence
 
 import numpy as np
@@ -230,12 +232,16 @@ def reduced_terms(m: Monomial, q: int) -> list[tuple[Monomial, float]]:
 
 
 class SolvedPE(PseudoExpectation):
-    """Pseudoexpectation backed by a reduced moment table from the SDP solver."""
+    """Pseudoexpectation backed by the SDP solver's reduced moment vector y,
+    read-only, in monomial_classes(n, q, degree, True) order."""
 
     def __init__(self, n_vertices: int, q: int, degree: int,
-                 table: dict[Monomial, float], solve_info: Optional[dict] = None):
+                 y: Sequence[float], solve_info: Optional[dict] = None):
         self.n_vertices, self.q, self._degree = n_vertices, q, degree
-        self.table = table
+        self.y = np.array(y, dtype=float)
+        if self.y.shape != (want := _reduced_count(n_vertices, q, degree),):
+            raise ValueError(f"reduced moment vector of shape {self.y.shape}, want ({want},)")
+        self.y.flags.writeable = False
         self.solve_info = solve_info or {}
         self.mode = "single"
 
@@ -243,24 +249,24 @@ class SolvedPE(PseudoExpectation):
     def degree(self) -> int:
         return self._degree
 
+    @cached_property
+    def table(self) -> MappingProxyType:
+        """Read-only {class: moment} view of y: the CLI's file format, moment()'s lookup."""
+        classes = monomial_classes(self.n_vertices, self.q, self.degree, True)
+        return MappingProxyType(dict(zip(classes, self.y.tolist())))
+
     def moment(self, m: Monomial) -> float:
         if m is ZERO:
             return 0.0
         self._check_degree(m)
         out = 0.0
         for mm, cc in reduced_terms(m, self.q):
-            val = self.table.get(mm)
-            if val is None:
-                raise DegreeExhausted(f"monomial {mon.monomial_name(mm)} missing from table")
-            out += cc * val
+            out += cc * self.table[mm]
         return out
 
     def reduced_moments(self, d: int) -> np.ndarray:
-        """The table's values in monomial_classes(n, q, d, True) order, then a 0
-        that index -1 (an annihilated product) reads."""
-        classes = monomial_classes(self.n_vertices, self.q, d, True)
-        return np.fromiter(itertools.chain(map(self.table.__getitem__, classes), (0.0,)),
-                           float, len(classes) + 1)
+        """The prefix of y of degree <= d, then a 0 that index -1 (ZERO) reads."""
+        return np.append(self.y[:_reduced_count(self.n_vertices, self.q, d)], 0.0)
 
     def _fill_label_moments(self, d: int) -> list[np.ndarray]:
         """From the reduced table, one label axis t at a time: with the axes
@@ -635,15 +641,13 @@ def monomial_classes(n: int, q: int, max_deg: int, reduced: bool) -> tuple[Monom
 def product_table(n: int, q: int, half_deg: int, reduced: bool) -> np.ndarray:
     """Read-only (B, B) table of the index in monomial_classes(n, q, 2 half_deg,
     reduced) of the product of basis monomials i and j; -1 where it is ZERO.
+    One _class_index call per block of rows keeps the working memory small.
     Callers pass every argument by position, so equal calls share one entry."""
-    classes = monomial_classes(n, q, 2 * half_deg, reduced)
-    index = {m: k for k, m in enumerate(classes)}
-    B = len(monomial_classes(n, q, half_deg, reduced))
-    T = np.empty((B, B), dtype=np.int64)
-    for i in range(B):
-        for j in range(i, B):
-            pm = mul(classes[i], classes[j])
-            T[i, j] = T[j, i] = -1 if pm is ZERO else index[pm]
+    basis = _id_rows(monomial_classes(n, q, half_deg, reduced), n, q)
+    T = np.empty((len(basis),) * 2, dtype=np.int64)
+    step = max(1, (1 << 18) // len(basis))
+    for lo in range(0, len(basis), step):
+        T[lo:lo + step] = _product_index(n, q, basis, basis[lo:lo + step], reduced)
     T.flags.writeable = False
     return T
 
@@ -664,10 +668,12 @@ def _combination_rank(n: int, rows: np.ndarray) -> np.ndarray:
     return np.searchsorted(_combinations(n, rows.shape[1]) @ w, rows @ w)
 
 
-def _class_index(rows: np.ndarray, n: int, q: int) -> np.ndarray:
-    """The index in monomial_classes(n, q, d, False) of the product of the
+def _class_index(rows: np.ndarray, n: int, q: int, reduced: bool = False) -> np.ndarray:
+    """The index in monomial_classes(n, q, d, reduced) of the product of the
     variables in each row, given as ids u q + a padded with n q; -1 where it
-    annihilates.  Equal ids merge (X^2 = X); two labels of a vertex annihilate."""
+    annihilates.  Equal ids merge (X^2 = X); two labels of a vertex annihilate.
+    Labels are digits 0..q-1 in base q, or, reduced, 1..q-1 in base q - 1."""
+    lo = int(reduced)
     r = np.sort(rows, axis=1)
     r[:, 1:][r[:, 1:] == r[:, :-1]] = n * q
     r.sort(axis=1)
@@ -678,9 +684,9 @@ def _class_index(rows: np.ndarray, n: int, q: int) -> np.ndarray:
     start = 0
     for k in range(r.shape[1] + 1):
         sel = (deg == k) & ~zero
-        out[sel] = start + _combination_rank(n, u[sel, :k]) * q ** k + \
-            a[sel, :k] @ q ** np.arange(k - 1, -1, -1)
-        start += math.comb(n, k) * q ** k
+        out[sel] = start + _combination_rank(n, u[sel, :k]) * (q - lo) ** k + \
+            (a[sel, :k] - lo) @ (q - lo) ** np.arange(k - 1, -1, -1)
+        start += math.comb(n, k) * (q - lo) ** k
     return out
 
 
@@ -700,12 +706,13 @@ def _poly_rows(p: Poly, n: int, q: int) -> tuple[np.ndarray, list[np.ndarray]]:
             [_id_rows([t[c] for t in sides], n, q) for c in (0, 1)])
 
 
-def _product_index(n: int, q: int, rows: np.ndarray, parts: np.ndarray) -> np.ndarray:
+def _product_index(n: int, q: int, rows: np.ndarray, parts: np.ndarray,
+                   reduced: bool = False) -> np.ndarray:
     """The class index of row_b parts_t at [t, b], both given as _id_rows."""
     (B, k), (T, w) = rows.shape, parts.shape
     full = np.empty((T, B, k + w), dtype=np.int32)
     full[..., :k], full[..., k:] = rows, parts[:, None]
-    return _class_index(full.reshape(T * B, k + w), n, q).reshape(T, B)
+    return _class_index(full.reshape(T * B, k + w), n, q, reduced).reshape(T, B)
 
 
 def _rows_moments(pe: PseudoExpectation, rows: np.ndarray, parts: np.ndarray) -> np.ndarray:
@@ -744,14 +751,9 @@ def _joint_moments(pe: PseudoExpectation, V: tuple, parts: tuple) -> np.ndarray:
     return flat[_joint_index(pe.n_vertices, pe.q, V, tuple(distinct))][[where[m] for m in parts]]
 
 
-def _poly_to_class_vec(p: Poly, q: int, class_index: dict, n_classes: int) -> np.ndarray:
-    vec = np.zeros(n_classes)
-    for m, c in p.items():
-        if m is ZERO:
-            continue
-        for mm, cc in reduced_terms(m, q):
-            vec[class_index[mm]] += c * cc
-    return vec
+def _reduced_count(n: int, q: int, d: int) -> int:
+    """The number of classes of monomial_classes(n, q, d, True)."""
+    return sum(math.comb(n, k) * (q - 1) ** k for k in range(d + 1))
 
 
 def uniform_reduced_table(n: int, q: int, D: int) -> np.ndarray:
@@ -779,8 +781,6 @@ def relax(inst: UGInstance, D: int) -> Relaxation:
     n, q = inst.vertex_count, inst.q
     if (n * q) ** (D // 2) > 40_000_000:
         raise ValueError("relaxation exceeds the desk budget")
-    classes = monomial_classes(n, q, D, True)
-    class_index = {m: k for k, m in enumerate(classes)}
     T = product_table(n, q, D // 2, True)
     B = len(T)
     # basis pairs i <= j in row order, each off-diagonal one as (i, j) then (j, i)
@@ -792,19 +792,21 @@ def relax(inst: UGInstance, D: int) -> Relaxation:
     ej = np.column_stack([ju, iu]).ravel()[keep].astype(np.int64)
     ek = np.repeat(k, 2)[keep]
     const = ek == 0
-    cvec = _poly_to_class_vec(val_poly(inst), q, class_index, len(classes))
-
-    G = g0 = None
-    if D == 2:  # one row per full-label pair X_{u,a} X_{v,b}, u < v
-        rows = np.asarray([_poly_to_class_vec({m: 1.0}, q, class_index, len(classes))
-                           for m in monomial_classes(n, q, 2, False)[1 + n * q:]])
-        G, g0 = np.ascontiguousarray(rows[:, 1:]), rows[:, 0].copy()
-
-    prob = MomentSDP(side=B, n_classes=len(classes),
+    # over the classes, row 0 the objective and, at D = 2, one row per full-label
+    # pair X_{u,a} X_{v,b}, u < v: each term's reduced_terms ranked, added in order
+    pairs = monomial_classes(n, q, 2, False)[1 + n * q:] if D == 2 else ()
+    terms = [(r, mm, c * cc) for r, p in enumerate([val_poly(inst)] + [{m: 1.0} for m in pairs])
+             for m, c in p.items() for mm, cc in reduced_terms(m, q)]
+    rows = np.zeros((1 + len(pairs), _reduced_count(n, q, D)))
+    np.add.at(rows, (np.asarray([t[0] for t in terms], dtype=np.int64),
+                     _class_index(_id_rows([t[1] for t in terms], n, q), n, q, True)),
+              [t[2] for t in terms])
+    G, g0 = (np.ascontiguousarray(rows[1:, 1:]), rows[1:, 0].copy()) if D == 2 else (None, None)
+    prob = MomentSDP(side=B, n_classes=rows.shape[1],
                      entry_i=ei[~const], entry_j=ej[~const], entry_k=ek[~const],
                      const_entries=(ei[const], ej[const]),
-                     c=cvec, uniform_y=uniform_reduced_table(n, q, D), G=G, g0=g0)
-    return Relaxation(inst, D, classes, prob)
+                     c=rows[0].copy(), uniform_y=uniform_reduced_table(n, q, D), G=G, g0=g0)
+    return Relaxation(inst, D, monomial_classes(n, q, D, True), prob)
 
 
 def _local_search(inst: UGInstance, seed: int) -> tuple[np.ndarray, float]:
@@ -890,8 +892,7 @@ def solve(relaxation: Relaxation, seed: int = 0) -> SolvedPE:
     else:
         info.update(method="warm_start", source="warm_start", gap=math.nan, certified=False,
                     status="over_budget")
-    table = {m: float(y[k]) for k, m in enumerate(relaxation.classes)}
-    return SolvedPE(inst.vertex_count, q, relaxation.D, table, solve_info=info)
+    return SolvedPE(inst.vertex_count, q, relaxation.D, y, solve_info=info)
 
 
 # ---------------------------------------------------------------------------

@@ -138,9 +138,7 @@ def suite_potentials(seed: int = 0) -> dict:
     zrep = sos.z_identities_report(prod, inst4, seed=seed)
     checks["z_identities"] = zrep | {"ok": max(zrep.values()) <= 1e-9}
     # psi on a uniform table has the closed form
-    peU = sos.SolvedPE(inst4.vertex_count, 2, 4,
-                       {m: float(v) for m, v in
-                        zip(rel4.classes, rel4.problem.uniform_y)})
+    peU = sos.SolvedPE(inst4.vertex_count, 2, 4, rel4.problem.uniform_y)
     psi = pot.psi_potential(peU, inst4)
     n, q = inst4.vertex_count, 2
     expected = (1 / n) * (1 / q) + (1 - 1 / n) * (1 / q ** 2)

@@ -1,8 +1,10 @@
 """The basis-product table against the pair loops it replaced.
 
 relax, moment_matrix and validate's reduced fallback each used to multiply
-every pair of basis monomials in Python.  Those loops are kept here as
-reference oracles, and the table-built arrays must equal theirs exactly.
+every pair of basis monomials in Python, and product_table itself did too
+before it ranked them with sos._class_index.  Those loops are kept here as
+reference oracles, and the table and the arrays built from it must equal
+theirs exactly, in both label bases.
 """
 
 import itertools
@@ -82,6 +84,17 @@ def reference_problem(inst, D):
         "G": G, "g0": g0}
 
 
+def reference_table(n, q, h, reduced):
+    lo = 1 if reduced else 0
+    basis = _monomials(n, q, h, lo)
+    index = {m: k for k, m in enumerate(_monomials(n, q, 2 * h, lo))}
+    T = np.empty((len(basis), len(basis)), dtype=np.int64)
+    for i, j in itertools.combinations_with_replacement(range(len(basis)), 2):
+        pm = mul(basis[i], basis[j])
+        T[i, j] = T[j, i] = -1 if pm is ZERO else index[pm]
+    return T
+
+
 def reference_matrix(basis, value):
     B = len(basis)
     M = np.empty((B, B))
@@ -97,7 +110,7 @@ def _solved_like(n, q, D, seed):
     rng = np.random.default_rng(seed)
     classes = _monomials(n, q, D, 1)
     table = {m: (1.0 if m == ONE else float(rng.random())) for m in classes}
-    return sos.SolvedPE(n, q, D, table)
+    return sos.SolvedPE(n, q, D, list(table.values()))
 
 
 def _assert_same(a, b):
@@ -171,3 +184,25 @@ def test_product_table_is_read_only_and_cached():
     with pytest.raises(ValueError):
         T[0, 0] = 1
     assert T[0, 0] == 0 and T[1, 2] == -1  # X_{0,1} X_{0,2} annihilates
+
+
+# J(5,2,1) q=2 and J(4,2,1) q=3 at half-degree 3 (their degree-6 relaxations),
+# both bases, and J(8,2,1) q=2 at half-degree 2, reduced (the warm-start table)
+TABLES = [(10, 2, 3, True), (10, 2, 3, False), (6, 3, 3, True), (6, 3, 3, False),
+          (28, 2, 2, True)]
+
+
+@pytest.mark.parametrize("n,q,h,reduced", TABLES,
+                         ids=[f"n{n}-q{q}-h{h}-{'R' if r else 'F'}" for n, q, h, r in TABLES])
+def test_product_table_matches_pair_loop(n, q, h, reduced):
+    _assert_same(sos.product_table(n, q, h, reduced), reference_table(n, q, h, reduced))
+
+
+def test_product_table_multiplies_no_monomials(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("product_table called the monomial algebra")
+    sos.product_table.cache_clear()
+    monkeypatch.setattr(sos, "mul", refuse)
+    monkeypatch.setattr(sos, "canon", refuse)
+    for reduced in (True, False):
+        _assert_same(sos.product_table(6, 3, 2, reduced), reference_table(6, 3, 2, reduced))

@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 import ugjohnson
-from ugjohnson import cli, sos
+from ugjohnson import cli, sos, ug_core
 from ugjohnson.cli import main
-from ugjohnson.monomials import parse_monomial
+from ugjohnson.monomials import monomial_name
 
 
 def test_generate_solve_round(tmp_path):
@@ -82,10 +82,44 @@ def test_verify_pe_fault_injection(tmp_path):
                  "--report", str(rep)]) == 1
     report = json.loads(rep.read_text())
     assert report["failed_invariants"]
-    table = {parse_monomial(k): v for k, v in d["table"].items()}
     h = d["header"]
+    classes = sos.monomial_classes(h["n"], h["q"], h["degree"], True)
+    y = [d["table"][monomial_name(m)] for m in classes]
     assert report["failed_invariants"] == sos.validate(
-        sos.SolvedPE(h["n"], h["q"], h["degree"], table))["failed"]
+        sos.SolvedPE(h["n"], h["q"], h["degree"], y))["failed"]
+
+
+@pytest.fixture(scope="module")
+def solved_file(tmp_path_factory):
+    """A planted J(5,2,1) instance file and its `solve --out` table file."""
+    tmp = tmp_path_factory.mktemp("pe")
+    inst, pe = tmp / "inst.json", tmp / "pe.json"
+    main(["generate", "--n", "5", "--l", "2", "--alpha", "0.5", "--q", "2",
+          "--eps", "0.3", "--seed", "5", "--out", str(inst)])
+    main(["solve", "--instance", str(inst), "--degree", "4", "--out", str(pe)])
+    return inst, pe
+
+
+def test_pe_file_round_trip_is_bitwise(solved_file):
+    inst, path = solved_file
+    pe = sos.solve(sos.relax(ug_core.load(str(inst)), 4))
+    loaded = cli._load_pe_file(str(path))
+    assert loaded.y.dtype == pe.y.dtype and loaded.y.tobytes() == pe.y.tobytes()
+    assert sos.validate(loaded) == sos.validate(pe)
+
+
+@pytest.mark.parametrize("change, named", [
+    (lambda t: t.pop("X:0:1|X:1:1"), "missing key X:0:1|X:1:1"),
+    (lambda t: t.update({"X:3:0": 0.7}), "unexpected key X:3:0"),
+], ids=["missing", "unexpected"])
+def test_verify_pe_names_a_missing_or_unexpected_key(solved_file, tmp_path, capsys,
+                                                      change, named):
+    d = json.loads(solved_file[1].read_text())
+    change(d["table"])
+    bad = tmp_path / "pe_bad.json"
+    bad.write_text(json.dumps(d))
+    assert main(["verify", "--suite", "pe", "--pe-file", str(bad)]) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_config_file_overrides(tmp_path):

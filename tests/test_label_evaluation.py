@@ -28,8 +28,8 @@ def _planted(n, q, eps, seed):
 
 def _random_solved(n, q, D, seed):
     rng = np.random.default_rng(seed)
-    return sos.SolvedPE(n, q, D, {m: float(rng.random())
-                                  for m in sos.monomial_classes(n, q, D, True)})
+    return sos.SolvedPE(n, q, D, [float(rng.random())
+                                  for m in sos.monomial_classes(n, q, D, True)])
 
 
 def _density(ids, s, q):
@@ -64,8 +64,8 @@ def mixture_521():
     rng = np.random.default_rng(6)
     mix = sos.mixture([(sos.from_assignment(x, 2), w) for x, w in
                        ((A, 0.5), (rng.integers(0, 2, 10), 0.3), (rng.integers(0, 2, 10), 0.2))])
-    table = {m: mix.moment(m) for m in sos.monomial_classes(10, 2, 6, True)}
-    return inst, mix, sos.SolvedPE(10, 2, 6, table)
+    y = [mix.moment(m) for m in sos.monomial_classes(10, 2, 6, True)]
+    return inst, mix, sos.SolvedPE(10, 2, 6, y)
 
 
 def _singles():

@@ -63,8 +63,8 @@ def _mixture_521():
     rng = np.random.default_rng(6)
     mix = sos.mixture([(sos.from_assignment(x, 2), w) for x, w in
                        ((A, 0.5), (rng.integers(0, 2, 10), 0.3), (rng.integers(0, 2, 10), 0.2))])
-    table = {m: mix.moment(m) for m in sos.monomial_classes(10, 2, 6, True)}
-    return inst, mix, sos.SolvedPE(10, 2, 6, table)
+    y = [mix.moment(m) for m in sos.monomial_classes(10, 2, 6, True)]
+    return inst, mix, sos.SolvedPE(10, 2, 6, y)
 
 
 def _degree6_conditioned():
@@ -113,8 +113,8 @@ def _class_moments(pe, d):
 @pytest.mark.parametrize("n, q, D", [(6, 2, 4), (6, 3, 4), (5, 2, 6), (4, 4, 4)])
 def test_label_moments_equal_one_moment_per_class(n, q, D):
     rng = np.random.default_rng(n * q * D)
-    table = {m: float(rng.random()) for m in sos.monomial_classes(n, q, D, True)}
-    solved = sos.SolvedPE(n, q, D, table)
+    y = [float(rng.random()) for m in sos.monomial_classes(n, q, D, True)]
+    solved = sos.SolvedPE(n, q, D, y)
     cond = sos.ConditionedPE(solved, EventPoly({var(1, 1): 1.0}))
     for pe in (solved, sos.shift_symmetrize(solved), cond):
         for d in range(pe.degree + 1):

@@ -182,7 +182,7 @@ def test_shift_symmetrize_is_idempotent(d):
 
 def test_mixture_rejects_a_moment_table():
     x = np.array([0, 1, 1])
-    solved = sos.SolvedPE(3, 2, 2, {ONE: 1.0})
+    solved = sos.SolvedPE(3, 2, 2, sos.uniform_reduced_table(3, 2, 2))
     with pytest.raises(TypeError):
         sos.mixture([(sos.from_assignment(x, 2), 0.5), (solved, 0.5)])
     assert solved.exact_support() is None

@@ -161,8 +161,7 @@ def test_pairwise_mi_independent_is_zero(setup):
     g, inst, A, _ = setup
     # uniform independent labels: a solved uniform table
     rel = sos.relax(inst, 4)
-    peU = sos.SolvedPE(10, 2, 4, {m: float(v) for m, v in
-                                  zip(rel.classes, rel.problem.uniform_y)})
+    peU = sos.SolvedPE(10, 2, 4, rel.problem.uniform_y)
     prod = sos.ProductPE(peU, peU)
     coll = LocalDistributionCollection(prod)
     stats = pairwise_mi(coll, range(6), max_pairs=10)
@@ -298,10 +297,7 @@ def test_support_and_moment_paths_agree(setup):
     mix = sos.mixture([(sos.from_assignment(A, q), 0.6),
                        (sos.from_assignment(B, q), 0.4)])
     rel = sos.relax(inst, 4)
-    table = {}
-    for m in rel.classes:
-        table[m] = mix.moment(m)
-    solved_like = sos.SolvedPE(10, q, 4, table)
+    solved_like = sos.SolvedPE(10, q, 4, [mix.moment(m) for m in rel.classes])
     prod_support = sos.ProductPE(mix, mix)
     prod_table = sos.ProductPE(solved_like, solved_like)
     spec = ShiftPartitionSpec(inst, mode="plain")
@@ -331,7 +327,7 @@ def test_conditioned_support_and_moment_paths_agree(setup):
     mix = sos.mixture([(sos.from_assignment(A, 2), 0.6),
                        (sos.from_assignment(B, 2), 0.4)])
     rel = sos.relax(inst, 4)
-    solved_like = sos.SolvedPE(10, 2, 4, {m: mix.moment(m) for m in rel.classes})
+    solved_like = sos.SolvedPE(10, 2, 4, [mix.moment(m) for m in rel.classes])
     from ugjohnson.rounding import density_poly
     from ugjohnson.monomials import EventPoly
     E = EventPoly(density_poly(inst, list(range(10)), 0), description="delta(G_0)")

@@ -44,7 +44,7 @@ def test_reduced_terms_match_mul_expansion(n, q):
 def test_solved_moment_bitwise_equals_oracle_sum():
     n, q, D = 6, 3, 4
     table = _random_table(n, q, D, seed=7)
-    pe = sos.SolvedPE(n, q, D, table)
+    pe = sos.SolvedPE(n, q, D, list(table.values()))
     for m in sos.monomial_classes(n, q, D, False):
         ref = 0.0
         for mm, cc in expand_label0(m, q).items():
@@ -53,7 +53,7 @@ def test_solved_moment_bitwise_equals_oracle_sum():
 
 
 def _solved(n, q, D, seed):
-    return sos.SolvedPE(n, q, D, _random_table(n, q, D, seed))
+    return sos.SolvedPE(n, q, D, list(_random_table(n, q, D, seed).values()))
 
 
 def _shift_reference(base, m):

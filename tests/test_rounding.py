@@ -39,8 +39,7 @@ def test_cr_mixture_of_shifts_collapses(planted421):
 def test_cr_uniform_floor(planted421):
     g, inst, A = planted421
     rel = sos.relax(inst, 4)
-    peU = sos.SolvedPE(6, 2, 4, {m: float(v) for m, v in
-                                 zip(rel.classes, rel.problem.uniform_y)})
+    peU = sos.SolvedPE(6, 2, 4, rel.problem.uniform_y)
     x, rec = condition_and_round(peU, inst)
     assert rec["mean_value"] >= 1 / 2 - 0.05
     assert rec["best_value"] >= rec["mean_value"] - 1e-12
@@ -62,8 +61,7 @@ def test_cr_scoped(planted421):
 def test_rt_reduce_independent_needs_no_tuples(planted421):
     g, inst, _ = planted421
     rel = sos.relax(inst, 4)
-    peU = sos.SolvedPE(6, 2, 4, {m: float(v) for m, v in
-                                 zip(rel.classes, rel.problem.uniform_y)})
+    peU = sos.SolvedPE(6, 2, 4, rel.problem.uniform_y)
     cfg = RoundingConfig.for_instance(inst, eps=0.0, degree=4, tau=0.01)
     E = EventPoly({ONE: 1.0})
     mu1, mu2, rec = rt_reduce(peU, range(6), E, cfg, p_floor=1.0)
@@ -340,8 +338,7 @@ def test_tv_event_on_disjoint_vertices_moves_nothing():
     g = johnson.build(5, 2, 0.5)
     inst, A = ug_core.plant(g, 2, ug_core.PlantedSpec(0.5, 17))
     rel = sos.relax(inst, 4)
-    peU = sos.SolvedPE(10, 2, 4, {m: float(v) for m, v in
-                                  zip(rel.classes, rel.problem.uniform_y)})
+    peU = sos.SolvedPE(10, 2, 4, rel.problem.uniform_y)
     prod = sos.ProductPE(peU, peU)
     # event on vertices {8, 9} only
     E = EventPoly({mul(var(8, 0), var(9, 1)): 1.0})

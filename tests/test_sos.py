@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ugjohnson import johnson, sos, ug_core
 from ugjohnson.monomials import (ONE, ZERO, EventPoly, canon, evaluate, monomial_name,
-                                 mul, parse_monomial, poly_mul, var)
+                                 mul, poly_mul, var)
 from ugjohnson.sdp import SDPResult
 from ugjohnson.sos import (DegreeExhausted, NearZeroEvent, condition,
                            from_assignment, mixture, moment_matrix, product,
@@ -39,9 +39,9 @@ def test_monomial_reduction():
 
 
 def test_monomial_names_roundtrip():
-    m = canon([(0, 3, 1), (1, 0, 2)])
-    assert parse_monomial(monomial_name(m)) == m
-    assert parse_monomial("1") == ONE
+    # the names are the keys of a `solve --out` file, which the loader matches exactly
+    assert monomial_name(canon([(1, 0, 2), (0, 3, 1)])) == "X:3:1|Xp:0:2"
+    assert (monomial_name(ONE), monomial_name(ZERO)) == ("1", "0")
 
 
 # --------------------------------------------------------------------------
@@ -83,21 +83,27 @@ def test_solver_output_validates(j421_solved):
 
 def test_validate_flags_corruption(j421_solved):
     _, inst, _, pe = j421_solved
-    table = dict(pe.table)
-    key = next(m for m in table if len(m) == 1)
-    table[key] += 1.0
-    bad = sos.SolvedPE(pe.n_vertices, pe.q, pe.degree, table)
+    y = pe.y.copy()
+    y[1] += 1.0  # the first degree-1 class
+    bad = sos.SolvedPE(pe.n_vertices, pe.q, pe.degree, y)
     rep = validate(bad)
     assert not rep["ok"]
     assert rep["min_eig"] < -sos.TOL_PSD or rep["marginal_min_entry"] < -1e-6
 
 
+def test_solved_pe_rejects_a_vector_of_the_wrong_length(j421_solved):
+    _, _, _, pe = j421_solved
+    for y in (pe.y[:-1], np.append(pe.y, 0.5), pe.y[None]):
+        with pytest.raises(ValueError):
+            sos.SolvedPE(pe.n_vertices, pe.q, pe.degree, y)
+    assert not pe.y.flags.writeable
+
+
 def test_validate_checks_both_copies_of_a_product(j421_solved):
     _, _, _, pe = j421_solved
-    table = dict(pe.table)
-    key = next(m for m in table if len(m) == 1)
-    table[key] += 1.0
-    bad = sos.SolvedPE(pe.n_vertices, pe.q, pe.degree, table)
+    y = pe.y.copy()
+    y[1] += 1.0  # the first degree-1 class
+    bad = sos.SolvedPE(pe.n_vertices, pe.q, pe.degree, y)
     assert validate(sos.ProductPE(pe, pe))["ok"]
     alone = validate(bad)
     for prod in (sos.ProductPE(pe, bad), sos.ProductPE(bad, pe)):
@@ -110,10 +116,9 @@ def _planted(n, q, eps, seed):
     return ug_core.plant(johnson.build(n, 2, 0.5), q, ug_core.PlantedSpec(eps, seed))[0]
 
 
-def _warm_table(rel, seed=0):
+def _warm_y(rel, seed=0):
     x, _ = sos._local_search(rel.inst, seed)
-    y = sos.assignment_reduced_table(x, rel.inst.q, rel.D)
-    return {m: float(y[k]) for k, m in enumerate(rel.classes)}
+    return sos.assignment_reduced_table(x, rel.inst.q, rel.D)
 
 
 def test_over_budget_returns_the_labelled_warm_start(monkeypatch):
@@ -127,8 +132,8 @@ def test_over_budget_returns_the_labelled_warm_start(monkeypatch):
         "method": "warm_start", "source": "warm_start", "certified": False,
         "iterations": 0, "status": "over_budget"}
     assert math.isnan(info["gap"]) and info["warm_value"] < 1.0
-    assert pe.table == _warm_table(rel)
-    assert info["objective"] == float(rel.problem.c @ np.array(list(pe.table.values())))
+    assert np.array_equal(pe.y, _warm_y(rel))
+    assert info["objective"] == float(rel.problem.c @ pe.y)
 
 
 @pytest.mark.parametrize("n, q, D, source", [(5, 2, 4, "sdp"), (6, 2, 2, "sdp")])
@@ -139,7 +144,7 @@ def test_solve_info_names_the_source_of_the_table(n, q, D, source):
     rel = relax(_planted(n, q, 0.5, 1000), D)
     pe = solve(rel)
     assert (pe.solve_info["method"], pe.solve_info["source"]) == ("ipm", source)
-    assert (pe.table == _warm_table(rel)) == (source == "warm_start")
+    assert np.array_equal(pe.y, _warm_y(rel)) == (source == "warm_start")
 
 
 @pytest.mark.parametrize("below, gap, status, source", [
@@ -149,8 +154,8 @@ def test_solve_info_names_the_source_of_the_table(n, q, D, source):
 def test_warm_start_replaces_the_sdp_table_only_beyond_its_gap(
         monkeypatch, below, gap, status, source):
     rel = relax(_planted(5, 2, 0.5, 1000), 4)
-    warm = _warm_table(rel)
-    y_ws = float(rel.problem.c @ np.array(list(warm.values())))
+    warm = _warm_y(rel)
+    y_ws = float(rel.problem.c @ warm)
     y_sdp = rel.problem.uniform_y
     monkeypatch.setattr(sos, "solve_ipm", lambda prob: SDPResult(
         y=y_sdp, objective=y_ws - below, gap=gap, primal_residual=0.0, iterations=3,
@@ -158,8 +163,7 @@ def test_warm_start_replaces_the_sdp_table_only_beyond_its_gap(
     pe = solve(rel)
     assert pe.solve_info["source"] == source
     assert pe.solve_info["sdp_objective"] == y_ws - below
-    want = warm if source == "warm_start" else dict(zip(rel.classes, y_sdp.tolist()))
-    assert pe.table == want
+    assert np.array_equal(pe.y, warm if source == "warm_start" else y_sdp)
 
 
 # --------------------------------------------------------------------------
