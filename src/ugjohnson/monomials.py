@@ -115,16 +115,6 @@ def poly_side_degree(p: Poly, copy: int) -> int:
     return max((side_degree(m, copy) for m in p), default=0)
 
 
-def evaluate(p: Poly, x, xp=None) -> float:
-    """Evaluate on an integral assignment (pair); x maps vertex -> label."""
-    tot = 0.0
-    for m, c in p.items():
-        ok = all((x[u] if cp == 0 else xp[u]) == a for (cp, u, a) in m)
-        if ok:
-            tot += c
-    return tot
-
-
 @dataclass
 class EventPoly:
     """A polynomial event with recorded nonnegativity provenance.
@@ -132,7 +122,7 @@ class EventPoly:
     provenance "zero_one_product": a product of factors each provably in [0,1]
     under the program axioms (safe to condition on); "surrogate": a truncated
     stand-in whose values are only clamped into [0,1] where probability
-    semantics are required (not safe for conditioning general tables).
+    semantics are required (conditioning rejects it on every table).
     """
     poly: Poly
     provenance: str = "zero_one_product"

@@ -1,10 +1,11 @@
 """Shift partitions and their potentials, local distributions, information
 utilities, dense-subcube indicators, and the edge-covering decomposition.
 
-Exact (integral-pair) variants are used wherever the object of study is a
-concrete pair of assignments; pseudoexpectation variants evaluate the same
-quantities as moments, and raise DegreeExhausted where the degree cannot fit
-them (step-weighted Phi is exact only on a distribution's support).
+Exact (integral-pair) variants, step-weighted ones included, are used
+wherever the object of study is a concrete pair of assignments.  The
+pseudoexpectation variants (plain Phi, Psi and the local joints) read every
+pseudoexpectation, a distribution's included, through the same label-moment
+gathers, and raise DegreeExhausted where the degree cannot fit them.
 """
 
 from __future__ import annotations
@@ -238,56 +239,15 @@ def edge_cover_decompose(g: JohnsonGraph, inst: UGInstance, x: np.ndarray,
 # pseudoexpectation-side potentials
 
 
-@dataclass
-class ShiftPartitionSpec:
-    """Parameters of the shift partition F_s / G_s used in potentials.
-
-    mode 'plain' uses G_s (no value weighting); 'steppoly' weights it by the
-    step polynomial of the vertex values (on the exact support path only).
-    """
-    inst: UGInstance
-    mode: str = "plain"
-    step: Optional[StepPoly] = None
-    scope: Optional[tuple[int, ...]] = None          # vertices averaged over
-    val_within: Optional[frozenset] = None           # edge scope for vertex values
-
-    def scope_vertices(self) -> list[int]:
-        return list(self.scope) if self.scope is not None else list(
-            range(self.inst.vertex_count))
-
-    def p_callable(self) -> Callable:
-        if self.mode == "plain":
-            return lambda v: np.ones_like(np.asarray(v, dtype=float))
-        if self.step is None:
-            raise ValueError("steppoly mode requires a StepPoly")
-        return self.step
-
-
-def phi_potential(spec: ShiftPartitionSpec, prod: ProductPE) -> dict:
-    """Phi = pE[ sum_s (E_u F_s(u))^2 ] over the configured scope.
-
-    Returns the value together with the representation actually used:
-    'support' (exact), or 'moments', where plain mode's Phi is
-    sum_s pE[delta(G_s)^2] with the density taken over the scope, read off
-    the product's pair joints: (1/|S|^2) sum_{s,a,b} J[:, :, a+s, b+s, a, b].
-    """
-    verts = spec.scope_vertices()
-    pairs = prod.exact_support()
-    if pairs is not None:
-        p = spec.p_callable()
-        acc = 0.0
-        for w, x, xp in pairs:
-            acc += w * phi_integral(spec.inst, x, xp, p, scope=verts,
-                                    val_within=spec.val_within)
-        return {"phi": acc, "representation": "support", "mode": spec.mode}
-    if spec.mode != "plain":
-        raise DegreeExhausted(
-            "squared step-weighted parts exceed the degree budget; use plain mode")
-    J = prod.pair_joints(verts)
+def phi_potential(prod: ProductPE, scope: Sequence[int]) -> float:
+    """Phi = sum_s pE[delta(G_s)^2] with the density taken over the scope (the
+    unweighted parts G_s), read off the product's pair joints:
+    (1/|S|^2) sum_{s,a,b} J[:, :, a+s, b+s, a, b]."""
+    J = prod.pair_joints(scope)
     a = np.arange(prod.q)
     acc = sum(J[:, :, (a[:, None] + s) % prod.q, (a + s) % prod.q, a[:, None], a].sum()
-              for s in range(prod.q)) / len(verts) ** 2
-    return {"phi": float(acc), "representation": "moments", "mode": "plain"}
+              for s in range(prod.q)) / len(scope) ** 2
+    return float(acc)
 
 
 def psi_potential(pe: PseudoExpectation, inst: UGInstance,

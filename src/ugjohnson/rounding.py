@@ -23,8 +23,7 @@ from . import potentials as pot
 from . import sos
 from .johnson import Subcube
 from .monomials import EventPoly, ONE, Poly, mul, poly_add, poly_mul, poly_sum, var
-from .potentials import (LocalDistributionCollection, ShiftPartitionSpec,
-                         pairwise_mi, tv_distance)
+from .potentials import LocalDistributionCollection, pairwise_mi, tv_distance
 from .sos import (DegreeExhausted, NearZeroEvent, ProductPE, PseudoExpectation,
                   condition, density_poly, product, shift_symmetrize, z_poly)
 from .ug_core import (UGInstance, edges_inside, randomize_edges, satisfied_mask,
@@ -418,10 +417,8 @@ def subround(inst: UGInstance, pe: PseudoExpectation, a: Optional[tuple],
     tv_rec = tv_conditioning_check(prod12, cond12, S, cfg, max(rt_rec["mi_x"], rt_rec["mi_xp"]))
     record["tv_check"] = tv_rec
 
-    spec_a = ShiftPartitionSpec(inst, mode="plain", scope=tuple(S), val_within=frozenset(S))
-    record["phi_before"] = pot.phi_potential(spec_a, prod12)
-    phi_rec = pot.phi_potential(spec_a, cond12)
-    record["phi_conditioned"] = phi_rec
+    record["phi_before"] = {"phi": pot.phi_potential(prod12, S)}
+    record["phi_conditioned"] = {"phi": pot.phi_potential(cond12, S)}
 
     mu1s, mu2s = shift_symmetrize(mu1), shift_symmetrize(mu2)
     x1, rec1 = condition_and_round(mu1s, inst, scope=S, anchor_budget=cfg.anchor_budget)
@@ -434,7 +431,7 @@ def subround(inst: UGInstance, pe: PseudoExpectation, a: Optional[tuple],
     record["value"] = v
 
     # measured guarantee components (round-j) and the potential-relation check
-    gamma_m = phi_rec["phi"]
+    gamma_m = record["phi_conditioned"]["phi"]
     delta_m, zeta_m = cfg.delta, tv_rec["fraction_exceeding"]
     guarantee = (cfg.beta - cfg.nu) ** 2 * (
         gamma_m - ROUND_J_CONST * (delta_m + zeta_m) - 1.0 / len(S)) \

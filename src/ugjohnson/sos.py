@@ -94,13 +94,6 @@ class PseudoExpectation:
             raise ValueError("single-copy pseudoexpectation got a primed variable")
         return sum((coef * _rows_moments(self, rows, np.zeros((1, 0), np.int32))[0]).tolist(), 0.0)
 
-    def exact_support(self) -> Optional[list[tuple]]:
-        """The weighted support of a distribution-backed pseudoexpectation:
-        (weight, x) pairs, or (weight, x, x') triples in product mode; None
-        when only moments are known.  Step-polynomial and clipped quantities
-        are exact only on this support."""
-        return None
-
     def label_moments(self, d: int) -> list[np.ndarray]:
         """The full-label moments of degree <= d of a single copy, one array per
         degree k, of shape (C(n, k),) + (q,) * k: entry [c, a_1..a_k] is the
@@ -174,9 +167,6 @@ class DistributionPE(PseudoExpectation):
     @property
     def degree(self) -> int:
         return self._degree
-
-    def exact_support(self) -> list[tuple[float, np.ndarray]]:
-        return self.support
 
     def moment(self, m: Monomial) -> float:
         if m is ZERO:
@@ -295,6 +285,7 @@ class ConditionedPE(PseudoExpectation):
     def __init__(self, base: PseudoExpectation, event: EventPoly):
         if base.mode != "single":
             raise ValueError("ConditionedPE is single-copy; condition products directly")
+        _check_provenance(event)
         d = mon.poly_degree(event.poly)
         if d > base.degree - 2:
             raise DegreeExhausted(f"event degree {d} > D - 2 = {base.degree - 2}")
@@ -309,17 +300,6 @@ class ConditionedPE(PseudoExpectation):
     @property
     def degree(self) -> int:
         return self._degree
-
-    def exact_support(self) -> Optional[list[tuple[float, np.ndarray]]]:
-        return self._support
-
-    @cached_property
-    def _support(self) -> Optional[list[tuple[float, np.ndarray]]]:
-        """The base support reweighted by the event."""
-        inner = self.base.exact_support()
-        if inner is None:
-            return None
-        return _renormalised([(p * mon.evaluate(self.event.poly, x), x) for p, x in inner])
 
     def moment(self, m: Monomial) -> float:
         if m is ZERO:
@@ -343,21 +323,10 @@ class ConditionedPE(PseudoExpectation):
                 / self.z for k in range(d + 1)]
 
 
-def _renormalised(support: list[tuple]) -> Optional[list[tuple]]:
-    """A reweighted support without its zero weights, renormalised (None when
-    nothing is left); a ValueError if a conditioning event is negative on it."""
-    if any(item[0] < -1e-9 for item in support):
-        raise ValueError("conditioning event is negative on the support")
-    kept = [item for item in support if item[0] > 0.0]
-    tot = sum(item[0] for item in kept)
-    return [(item[0] / tot, *item[1:]) for item in kept] if tot > 0 else None
-
-
-def _check_provenance(pe: PseudoExpectation, event: EventPoly) -> None:
-    """The one rule for both conditioning entry points: a general table may be
-    reweighted only by a [0,1]-provenance event; a surrogate event also by a
-    distribution-backed pseudoexpectation, whose exact support is reweighted."""
-    if event.provenance != "zero_one_product" and pe.exact_support() is None:
+def _check_provenance(event: EventPoly) -> None:
+    """The one rule for every conditioned table, single copy or product: only a
+    [0,1]-provenance event reweights a pseudoexpectation, whatever backs it."""
+    if event.provenance != "zero_one_product":
         raise ValidityError("conditioning requires a [0,1]-provenance event")
 
 
@@ -365,7 +334,6 @@ def condition(pe: PseudoExpectation, event: EventPoly) -> PseudoExpectation:
     """Reweighting by a [0,1]-provenance event; the SoS analogue of conditioning."""
     if pe.mode == "product":
         return pe.condition(event)  # type: ignore[attr-defined]
-    _check_provenance(pe, event)
     return ConditionedPE(pe, event)
 
 
@@ -381,18 +349,6 @@ class ShiftSymmetrizedPE(PseudoExpectation):
     @property
     def degree(self) -> int:
         return self.base.degree
-
-    def exact_support(self) -> Optional[list[tuple[float, np.ndarray]]]:
-        return self._orbit
-
-    @cached_property
-    def _orbit(self) -> Optional[list[tuple[float, np.ndarray]]]:
-        """The base support shifted by every label s, each copy at weight 1/q."""
-        inner = self.base.exact_support()
-        if inner is None:
-            return None
-        q = self.q
-        return [(p / q, (x + s) % q) for p, x in inner for s in range(q)]
 
     def moment(self, m: Monomial) -> float:
         if m is ZERO:
@@ -433,6 +389,7 @@ class ProductPE(PseudoExpectation):
         self._side_degree = [pe.degree - (event.side_degree(c) if event else 0)
                              for c, pe in enumerate((self.pe1, self.pe2))]
         if event is not None:
+            _check_provenance(event)
             self.event, self.z = event, self.pE(event.poly)  # z under the unconditioned product
             if self.z < FLOOR_COND:
                 raise NearZeroEvent(f"pE[conditioning event] = {self.z} below {FLOOR_COND}")
@@ -443,19 +400,6 @@ class ProductPE(PseudoExpectation):
 
     def side_degree(self, copy: int) -> int:
         return self._side_degree[copy]
-
-    def exact_support(self) -> Optional[list[tuple[float, np.ndarray, np.ndarray]]]:
-        return self._pairs
-
-    @cached_property
-    def _pairs(self) -> Optional[list[tuple[float, np.ndarray, np.ndarray]]]:
-        """(weight, x, x') over both factors' supports, reweighted by the event."""
-        s1, s2 = self.pe1.exact_support(), self.pe2.exact_support()
-        if s1 is None or s2 is None:
-            return None
-        ev = self.event.poly if self.event is not None else {ONE: 1.0}
-        return _renormalised([(p1 * p2 * mon.evaluate(ev, x1, x2), x1, x2)
-                              for p1, x1 in s1 for p2, x2 in s2])
 
     def moment(self, m: Monomial) -> float:
         if m is ZERO:
@@ -510,11 +454,8 @@ class ProductPE(PseudoExpectation):
 
     def condition(self, event: EventPoly) -> "ProductPE":
         """Reweight by event; on a conditioned product the two events multiply."""
-        _check_provenance(self, event)
-        if self.event is not None:
-            zero_one = self.event.provenance == event.provenance == "zero_one_product"
-            event = EventPoly(poly_mul(self.event.poly, event.poly),
-                              "zero_one_product" if zero_one else "surrogate",
+        if self.event is not None:  # [0,1] already, so the product has event's provenance
+            event = EventPoly(poly_mul(self.event.poly, event.poly), event.provenance,
                               f"{self.event.description} & {event.description}")
         return ProductPE(self.pe1, self.pe2, event)
 
@@ -618,8 +559,13 @@ def z_identities_report(prod: ProductPE, inst: UGInstance, seed: int = 0) -> dic
 class Relaxation:
     inst: UGInstance
     D: int
-    classes: tuple[Monomial, ...]
     problem: MomentSDP
+
+    @property
+    def classes(self) -> tuple[Monomial, ...]:
+        """The reduced classes that index y, built on the first read (relax
+        never needs them)."""
+        return monomial_classes(self.inst.vertex_count, self.inst.q, self.D, True)
 
 
 @lru_cache(maxsize=16)
@@ -641,13 +587,17 @@ def monomial_classes(n: int, q: int, max_deg: int, reduced: bool) -> tuple[Monom
 def product_table(n: int, q: int, half_deg: int, reduced: bool) -> np.ndarray:
     """Read-only (B, B) table of the index in monomial_classes(n, q, 2 half_deg,
     reduced) of the product of basis monomials i and j; -1 where it is ZERO.
-    One _class_index call per block of rows keeps the working memory small.
-    Callers pass every argument by position, so equal calls share one entry."""
+    One _class_index call per block of rows, on and above the diagonal only,
+    keeps the working memory small; the table is symmetric, so each block is
+    mirrored below.  Callers pass every argument by position, so equal calls
+    share one entry."""
     basis = _id_rows(monomial_classes(n, q, half_deg, reduced), n, q)
     T = np.empty((len(basis),) * 2, dtype=np.int64)
     step = max(1, (1 << 18) // len(basis))
     for lo in range(0, len(basis), step):
-        T[lo:lo + step] = _product_index(n, q, basis, basis[lo:lo + step], reduced)
+        hi = lo + step
+        T[lo:hi, lo:] = _product_index(n, q, basis[lo:], basis[lo:hi], reduced)
+        T[hi:, lo:hi] = T[lo:hi, hi:].T
     T.flags.writeable = False
     return T
 
@@ -806,7 +756,7 @@ def relax(inst: UGInstance, D: int) -> Relaxation:
                      entry_i=ei[~const], entry_j=ej[~const], entry_k=ek[~const],
                      const_entries=(ei[const], ej[const]),
                      c=rows[0].copy(), uniform_y=uniform_reduced_table(n, q, D), G=G, g0=g0)
-    return Relaxation(inst, D, monomial_classes(n, q, D, True), prob)
+    return Relaxation(inst, D, prob)
 
 
 def _local_search(inst: UGInstance, seed: int) -> tuple[np.ndarray, float]:
@@ -909,14 +859,16 @@ def moment_matrix(pe: PseudoExpectation, half_degree: Optional[int] = None,
     return pe.flat_moments(2 * d)[product_table(pe.n_vertices, pe.q, d, False)], list(basis)
 
 
-_INVARIANTS = ("scaling_residual", "partition_residual", "booleanity_residual",
-              "marginal_sum_residual", "psd", "marginal_nonneg")
+_INVARIANTS = ("scaling_residual", "partition_residual", "marginal_sum_residual", "psd",
+               "marginal_nonneg")
 
 
 def validate(pe: PseudoExpectation, side_cap: int = 1800, seed: int = 0) -> dict:
-    """Scaling, PSD, partition/Booleanity residuals, and marginal sanity.
+    """Scaling, PSD, partition residuals, and marginal sanity.
 
-    A product is checked on both marginals: each residual reports the worse
+    There is no Booleanity check: every read goes through _class_index, which
+    merges X^2 = X before it ranks a monomial, so no table can break it.  A
+    product is checked on both marginals: each residual reports the worse
     copy, and an invariant fails when it fails on either.  rep["failed"]
     names the invariants that do not hold; rep["ok"] is true when it is empty."""
     rng = np.random.default_rng(seed)  # copy 0 draws first, as a single copy does
@@ -959,7 +911,7 @@ def _single_copy_checks(target: PseudoExpectation, side_cap: int,
             rep["moment_matrix_basis"] = "reduced"
     rep["min_eig"] = None if M is None else float(np.linalg.eigvalsh(M).min())
     rep["moment_matrix_side"] = None if M is None else len(M)
-    part = boolres = 0.0
+    part = 0.0
     n, q = target.n_vertices, target.q
     probe_monomials: list[Monomial] = [ONE]
     max_extra = max(0, min(target.degree - 1, 2))
@@ -970,16 +922,12 @@ def _single_copy_checks(target: PseudoExpectation, side_cap: int,
         if m is not ZERO:
             probe_monomials.append(m)
     for m in probe_monomials:
-        # pE[m], then pE[m X_{u,a}] over the labels a of the first four vertices u
-        # outside m (partition) and over the variables X_{u,a} of m (Booleanity)
+        # pE[m], then pE[m X_{u,a}] over the labels a of the first four vertices u outside m
         free = [u for u in range(n) if all(u != w for (_, w, _) in m)][:4]
-        ext = [mul(m, var(u, a)) for u in free for a in range(q)] + [mul(m, (v,)) for v in m]
+        ext = [mul(m, var(u, a)) for u in free for a in range(q)]
         vals = _rows_moments(target, _id_rows([m] + ext, n, q), np.zeros((1, 0), np.int32))[0]
-        cut = 1 + len(free) * q
-        part = float(np.abs(vals[1:cut].reshape(-1, q).sum(axis=1) - vals[0]).max(initial=part))
-        boolres = float(np.abs(vals[cut:] - vals[0]).max(initial=boolres))
+        part = float(np.abs(vals[1:].reshape(-1, q).sum(axis=1) - vals[0]).max(initial=part))
     rep["partition_residual"] = part
-    rep["booleanity_residual"] = boolres
     worst_neg, worst_sum = 0.0, 0.0
     if target.degree >= 2:
         pairs = list(itertools.combinations(range(n), 2))
@@ -990,7 +938,6 @@ def _single_copy_checks(target: PseudoExpectation, side_cap: int,
     rep["marginal_min_entry"] = worst_neg
     rep["marginal_sum_residual"] = worst_sum
     holds = {"partition_residual": part <= 1e-6,
-             "booleanity_residual": boolres <= 1e-6,
              "marginal_sum_residual": worst_sum <= 1e-6,
              "psd": rep["min_eig"] is None or rep["min_eig"] >= -TOL_PSD,
              "marginal_nonneg": worst_neg >= -1e-6}

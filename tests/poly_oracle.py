@@ -1,7 +1,8 @@
 """The program polynomials as they were built before `sos.shift_poly`, one
 hand-written loop each, kept as reference oracles, with the q n^2 loop of
-Z-monomial products that evaluated Phi on the moment path and the list of
-disjoint pair-of-pairs that `pairwise_mi` drew from."""
+Z-monomial products that evaluated Phi on the moment path, the list of
+disjoint pair-of-pairs that `pairwise_mi` drew from, and a polynomial's value
+at an integral assignment (pair)."""
 
 import itertools
 
@@ -85,3 +86,12 @@ def disjoint_pair_indices(S):
     pairs = [(u, v) for u, v in itertools.combinations(S, 2)]
     return [(p1, p2) for p1, p2 in itertools.combinations(range(len(pairs)), 2)
             if not set(pairs[p1]) & set(pairs[p2])]
+
+
+def evaluate(p, x, xp=None):
+    """p at the integral assignment x (pair (x, x')); x maps vertex -> label."""
+    tot = 0.0
+    for m, c in p.items():
+        if all((x[u] if cp == 0 else xp[u]) == a for (cp, u, a) in m):
+            tot += c
+    return tot

@@ -127,7 +127,6 @@ def test_criterion_05_pseudoexpectation_validity():
             dominance = pe.solve_info["objective"] >= opt - 1e-6
             resid_ok = (rep["scaling_residual"] <= 1e-6
                         and rep["partition_residual"] <= 1e-6
-                        and rep["booleanity_residual"] <= 1e-6
                         and rep["min_eig"] >= -sos.TOL_PSD)
             # pseudo-Cauchy-Schwarz on random low-degree pairs (5 per instance)
             from ugjohnson.monomials import var

@@ -159,6 +159,17 @@ class _Lookup(sos.PseudoExpectation):
         return [np.fromiter(map(self.moment, classes), float, len(classes))]
 
 
+def test_relax_builds_no_degree_D_classes(monkeypatch):
+    # J(8,2,1) q=3 D=4 has 355,377 reduced classes, which relax never reads;
+    # Relaxation.classes lists them on demand
+    seen, real = [], sos.monomial_classes
+    monkeypatch.setattr(sos, "monomial_classes",
+                        lambda n, q, d, reduced: seen.append(d) or real(n, q, d, reduced))
+    inst, _ = ug_core.plant(johnson.build(8, 2, 0.5), 3, ug_core.PlantedSpec(0.05, 1))
+    rel = sos.relax(inst, 4)
+    assert 4 not in seen and rel.problem.n_classes == 355_377
+
+
 @pytest.mark.parametrize("n,q,D", CASES, ids=IDS)
 def test_moment_matrix_matches_pair_loop(n, q, D):
     pe = _Lookup(n * (n - 1) // 2, q, D, seed=n + q + D)

@@ -15,8 +15,7 @@ import pytest
 
 from ugjohnson import johnson, sos, ug_core
 from ugjohnson.monomials import EventPoly, mul, poly_mul, var
-from ugjohnson.potentials import (LocalDistributionCollection, ShiftPartitionSpec,
-                                  phi_potential, y_pair_joints)
+from ugjohnson.potentials import LocalDistributionCollection, phi_potential, y_pair_joints
 
 import pair_joint_oracle as oracle
 
@@ -87,13 +86,9 @@ def case(request):
 
 def test_phi_and_tv_joints_equal_the_scalar_moment_path(case):
     inst, S, prod, event = case
-    spec = ShiftPartitionSpec(inst, mode="plain", scope=tuple(S))
     pairs = list(itertools.combinations(S, 2))
     for pr in (prod, prod.condition(event)):
-        assert pr.exact_support() is None
-        rep = phi_potential(spec, pr)
-        assert rep["representation"] == "moments"
-        assert abs(rep["phi"] - oracle.phi_moments(pr, inst, S)) <= 1e-12
+        assert abs(phi_potential(pr, S) - oracle.phi_moments(pr, inst, S)) <= 1e-12
         for (u, v), joint in zip(pairs, y_pair_joints(pr, S, pairs)):
             assert np.abs(joint - oracle.y_joint(pr, u, v)).max() <= 1e-12
 

@@ -1,12 +1,12 @@
-"""exact_support() and pE against the former support-walking evaluators.
+"""pE of products of distributions against the former support-walking
+evaluators.
 
 The two reference oracles below are the evaluators `potentials.support_pairs`
-and `rounding._pe_of_poly` as they stood before `exact_support()` replaced the
-first and `pE` the second, with one rule added to the first: a single copy
-conditioned on an event has its base's support reweighted by the event.  They
-read the pseudoexpectations' internals directly.  Drawn mixtures must give
-the same support (order, weights, arrays) and the same polynomial
-expectations.
+and `rounding._pe_of_poly` as they stood before the label-moment gathers
+replaced them, with one rule added to the first: a single copy conditioned on
+an event has its base's support reweighted by the event.  They read the
+pseudoexpectations' internals directly.  Drawn mixtures, shift-symmetrised and
+conditioned, must give the same polynomial expectations.
 """
 
 import numpy as np
@@ -14,11 +14,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ugjohnson import johnson, sos, ug_core
-from ugjohnson.monomials import (ONE, EventPoly, evaluate, poly_add, poly_mul, poly_scale,
-                                 var)
+from ugjohnson.monomials import ONE, EventPoly, poly_add, poly_mul, var
 from ugjohnson.rounding import both_sat_density_poly, density_poly
 
-import poly_oracle
+from poly_oracle import evaluate
 
 
 def ref_support_pairs(prod):
@@ -73,13 +72,6 @@ def ref_pe_of_poly(prod, p):
     return prod.pE(p)
 
 
-def outcome(fn):
-    try:
-        return fn()
-    except ValueError as err:
-        return ("ValueError", str(err))
-
-
 G = johnson.build(4, 2, 0.5)  # 6 vertices
 INSTANCES = {q: ug_core.plant(G, q, ug_core.PlantedSpec(0.3, 5))[0] for q in (2, 3)}
 SUBCUBES = [(), (0,), (2,)]
@@ -95,18 +87,11 @@ def distributions(draw, q):
     return sos.mixture([(sos.from_assignment(x, q), w / tot) for x, w in zip(xs, ws)])
 
 
-def surrogate_event(inst, u, copy, beta, nu=0.1):
-    """The degree-1 step surrogate on val_u: negative where val_u < beta - nu."""
-    val = poly_oracle.vertex_val_poly(inst, u, copy=copy)
-    poly = poly_add(poly_scale(val, 1.0 / (2 * nu)), {ONE: (nu - beta) / (2 * nu)})
-    return EventPoly(poly, provenance="surrogate")
-
-
 @st.composite
 def products(draw):
     """An instance and products of two drawn distributions: plain,
-    shift-symmetrised, with a moment-only side, and conditioned on a density
-    event and on surrogate events (negative somewhere when beta = 0.3)."""
+    shift-symmetrised, and conditioned on a vertex label and on a density
+    event."""
     q = draw(st.sampled_from((2, 3)))
     inst = INSTANCES[q]
     dA, dB = draw(distributions(q)), draw(distributions(q))
@@ -115,13 +100,9 @@ def products(draw):
     out = [prod, sym]
     a = draw(st.sampled_from(SUBCUBES))
     ids = johnson.subcube(G, a).vertex_ids() if a else list(range(6))
-    u, copy = draw(st.integers(0, 5)), draw(st.integers(0, 1))
+    u = draw(st.integers(0, 5))
     conditioned = [(dA, EventPoly({var(u, 0): 1.0})),
-                   (prod, EventPoly(density_poly(inst, ids, draw(st.integers(0, q - 1))))),
-                   (prod, surrogate_event(inst, u, copy, beta=0.1)),
-                   (prod, surrogate_event(inst, u, copy, beta=0.3)),
-                   # the label orbit puts mass 1/q on X_u = 0, where this is -0.5
-                   (sym, EventPoly({ONE: 1.0, var(u, 0, copy): -1.5}, provenance="surrogate"))]
+                   (prod, EventPoly(density_poly(inst, ids, draw(st.integers(0, q - 1)))))]
     for pe, ev in conditioned:
         try:
             cond = sos.condition(pe, ev)
@@ -136,22 +117,6 @@ SETTINGS = settings(max_examples=30, deadline=None,
 
 
 @SETTINGS
-@given(products())
-def test_exact_support_matches_reference(case):
-    for prod in case[1]:
-        got, want = outcome(prod.exact_support), outcome(lambda: ref_support_pairs(prod))
-        if want is None or isinstance(want, tuple):  # no support, or a negative event
-            assert got == want
-            continue
-        assert len(got) == len(want)
-        for (w, x, xp), (rw, rx, rxp) in zip(got, want):
-            assert w == rw
-            for arr, ref in ((x, rx), (xp, rxp)):
-                assert arr.dtype == ref.dtype and np.array_equal(arr, ref)
-        assert prod.exact_support() is got  # computed once per object
-
-
-@SETTINGS
 @given(products(), st.sampled_from(SUBCUBES), st.integers(0, 2))
 def test_pE_matches_support_evaluation(case, a, s):
     inst, prods = case
@@ -162,8 +127,6 @@ def test_pE_matches_support_evaluation(case, a, s):
              poly_mul(poly_mul(dens, dens), poly_add(dens, {ONE: -0.3})),
              poly_mul(dens, poly_add(both_sat_density_poly(inst, ids, s), {ONE: -0.05}))]
     for prod in prods:
-        if isinstance(outcome(prod.exact_support), tuple):
-            continue  # a negative event: no support to evaluate on
         for p in polys:
             assert prod.pE(p) == pytest.approx(ref_pe_of_poly(prod, p), abs=1e-12, rel=0)
 
@@ -174,10 +137,9 @@ def test_shift_symmetrize_is_idempotent(d):
     sym = sos.shift_symmetrize(d)
     assert sos.shift_symmetrize(sym) is sym
     q = d.q
-    want = [(p / q, (x + s) % q) for p, x in d.support for s in range(q)]
-    assert len(sym.exact_support()) == len(want)
-    for (w, x), (rw, rx) in zip(sym.exact_support(), want):
-        assert w == rw and np.array_equal(x, rx)
+    orbit = sos.DistributionPE([(p / q, (x + s) % q) for p, x in d.support for s in range(q)], q)
+    for F, want in zip(sym.label_moments(4), orbit.label_moments(4)):
+        assert F.shape == want.shape and np.abs(F - want).max() <= 1e-15
 
 
 def test_mixture_rejects_a_moment_table():
@@ -185,4 +147,3 @@ def test_mixture_rejects_a_moment_table():
     solved = sos.SolvedPE(3, 2, 2, sos.uniform_reduced_table(3, 2, 2))
     with pytest.raises(TypeError):
         sos.mixture([(sos.from_assignment(x, 2), 0.5), (solved, 0.5)])
-    assert solved.exact_support() is None

@@ -5,12 +5,12 @@ import pytest
 
 from ugjohnson import johnson, sos, steppoly, ug_core
 from ugjohnson.monomials import EventPoly
-from ugjohnson.potentials import (LocalDistributionCollection, ShiftPartitionSpec,
-                                  potential_restriction_check,
+from ugjohnson.potentials import (LocalDistributionCollection, potential_restriction_check,
                                   data_processing_check, default_eps_schedule,
                                   dense_subcube_indicators, edge_cover_decompose, g_parts,
                                   mutual_information, pairwise_mi, phi_integral,
                                   phi_potential, pinsker_check, psi_potential, y_slots)
+from ugjohnson.ug_core import satisfied_mask, vertex_values
 
 
 @pytest.fixture(scope="module")
@@ -27,37 +27,28 @@ def setup():
 
 def test_phi_examples(setup):
     g, inst, A, p = setup
-    pe = sos.from_assignment(A, 2)
-    prod = sos.ProductPE(pe, pe)
-    spec = ShiftPartitionSpec(inst, mode="steppoly", step=p)
-    rep = phi_potential(spec, prod)
-    assert rep["phi"] >= (1 - 0.1) ** 4 - 1e-12
-    assert rep["phi"] <= 1.0 + 1e-12
+    phi = phi_integral(inst, A, A, p)
+    assert (1 - 0.1) ** 4 - 1e-12 <= phi <= 1.0 + 1e-12
     # two unrelated assignments: phi equals the direct formula
     rng = np.random.default_rng(0)
     x, xp = rng.integers(0, 2, 10), rng.integers(0, 2, 10)
-    prod2 = sos.ProductPE(sos.from_assignment(x, 2), sos.from_assignment(xp, 2))
-    rep2 = phi_potential(spec, prod2)
-    assert rep2["phi"] == pytest.approx(phi_integral(inst, x, xp, p))
+    weight = p(vertex_values(inst, satisfied_mask(inst, x))) * \
+        p(vertex_values(inst, satisfied_mask(inst, xp)))
+    want = sum(np.mean(((x - xp) % 2 == s) * weight) ** 2 for s in range(2))
+    assert phi_integral(inst, x, xp, p) == pytest.approx(want)
 
 
 def test_phi_global_restricted_full_graph_equals_phi(setup):
     g, inst, A, p = setup
-    prod = sos.ProductPE(sos.from_assignment(A, 2), sos.from_assignment(A, 2))
-    spec = ShiftPartitionSpec(inst, mode="steppoly", step=p)
-    full_scope = ShiftPartitionSpec(inst, mode="steppoly", step=p, scope=tuple(range(10)))
-    assert phi_potential(full_scope, prod)["phi"] == pytest.approx(
-        phi_potential(spec, prod)["phi"])
+    assert phi_integral(inst, A, A, p, scope=range(10)) == pytest.approx(
+        phi_integral(inst, A, A, p))
 
 
 def test_phi_moment_path_plain(setup):
     g, inst, A, p = setup
     pe = sos.solve(sos.relax(inst, 4))
-    prod = sos.product(pe)
-    spec = ShiftPartitionSpec(inst, mode="plain")
-    rep = phi_potential(spec, prod)
-    assert rep["representation"] == "moments"
-    assert 0.0 - 1e-9 <= rep["phi"] <= 1.0 + 1e-9
+    phi = phi_potential(sos.product(pe), range(10))
+    assert 0.0 - 1e-9 <= phi <= 1.0 + 1e-9
 
 
 def test_potential_restriction_enumerated(setup):
@@ -288,7 +279,7 @@ def test_psi_skips_never_occurring_shifts(setup):
 
 
 def test_support_and_moment_paths_agree(setup):
-    # the same pseudoexpectation represented two ways (explicit support vs a
+    # the same pseudoexpectation represented two ways (a distribution vs a
     # solver-style reduced table) must give identical potentials and joints
     g, inst, A, p = setup
     q = 2
@@ -300,12 +291,12 @@ def test_support_and_moment_paths_agree(setup):
     solved_like = sos.SolvedPE(10, q, 4, [mix.moment(m) for m in rel.classes])
     prod_support = sos.ProductPE(mix, mix)
     prod_table = sos.ProductPE(solved_like, solved_like)
-    spec = ShiftPartitionSpec(inst, mode="plain")
-    # phi: exact support route vs Z-moment route
-    a = phi_potential(spec, prod_support)
-    b = phi_potential(spec, prod_table)
-    assert a["representation"] == "support" and b["representation"] == "moments"
-    assert a["phi"] == pytest.approx(b["phi"], abs=1e-10)
+    # phi of both, and the support's expectation of the integral phi
+    a = phi_potential(prod_support, range(10))
+    b = phi_potential(prod_table, range(10))
+    want = sum(w * wp * phi_integral(inst, x, xp, np.ones_like)
+               for w, x in mix.support for wp, xp in mix.support)
+    assert a == pytest.approx(want, abs=1e-12) and b == pytest.approx(want, abs=1e-10)
     # psi on the single copies
     assert psi_potential(mix, inst) == pytest.approx(
         psi_potential(solved_like, inst), abs=1e-10)
@@ -333,9 +324,7 @@ def test_conditioned_support_and_moment_paths_agree(setup):
     E = EventPoly(density_poly(inst, list(range(10)), 0), description="delta(G_0)")
     ca = sos.ProductPE(mix, mix).condition(E)
     cb = sos.ProductPE(solved_like, solved_like).condition(E)
-    spec = ShiftPartitionSpec(inst, mode="plain")
     ja = LocalDistributionCollection(ca).joint((("X", 1), ("Xp", 1)))
     jb = LocalDistributionCollection(cb).joint((("X", 1), ("Xp", 1)))
     assert np.abs(ja - jb).max() < 1e-10
-    assert phi_potential(spec, ca)["phi"] == pytest.approx(
-        phi_potential(spec, cb)["phi"], abs=1e-10)
+    assert phi_potential(ca, range(10)) == pytest.approx(phi_potential(cb, range(10)), abs=1e-10)

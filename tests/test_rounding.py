@@ -275,7 +275,7 @@ def test_main_algorithm_at_degree_6_runs_the_reduction():
         rt = rec["rt_reduce"]
         assert len(rt["tuples"]) >= 1 and not rt["budget_exhausted"]
         assert rec["tv_check"]["tau_bar"] == max(rt["mi_x"], rt["mi_xp"]) < 1e-3
-        assert rec["phi_conditioned"]["representation"] == "moments"
+        assert set(rec["phi_before"]) == set(rec["phi_conditioned"]) == {"phi"}
 
 
 def test_main_algorithm_planted(planted421):

@@ -13,7 +13,7 @@ import pytest
 
 from ugjohnson import johnson, sos, ug_core
 from ugjohnson.monomials import EventPoly
-from ugjohnson.potentials import ShiftPartitionSpec, _disjoint_pair_indices, phi_potential
+from ugjohnson.potentials import _disjoint_pair_indices, phi_potential
 
 import poly_oracle as oracle
 
@@ -64,12 +64,8 @@ def test_phi_squared_density_equals_the_z_product_loop(q):
     ids = johnson.subcube(inst.graph_tag, (0,)).vertex_ids()
     conditioned = prod.condition(EventPoly(sos.density_poly(inst, ids, 0)))
     for pr in (prod, conditioned):
-        assert pr.exact_support() is None
-        for scope in (None, tuple(ids)):
-            spec = ShiftPartitionSpec(inst, mode="plain", scope=scope)
-            rep = phi_potential(spec, pr)
-            assert rep["representation"] == "moments"
-            assert abs(rep["phi"] - oracle.phi_moments(pr, list(scope or verts))) <= 1e-12
+        for scope in (verts, ids):
+            assert abs(phi_potential(pr, scope) - oracle.phi_moments(pr, scope)) <= 1e-12
 
 
 def test_cached_disjoint_pairs_equal_the_oracle_list():

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ugjohnson import johnson, sos, ug_core
-from ugjohnson.monomials import (ONE, ZERO, EventPoly, canon, evaluate, monomial_name,
-                                 mul, poly_mul, var)
+from ugjohnson.monomials import ONE, ZERO, EventPoly, canon, monomial_name, mul, poly_mul, var
 from ugjohnson.sdp import SDPResult
 from ugjohnson.sos import (DegreeExhausted, NearZeroEvent, condition,
                            from_assignment, mixture, moment_matrix, product,
@@ -272,33 +271,28 @@ def test_conditioned_mixture_support_matches_moments(q, data):
         cond = condition(d, EventPoly({mul(var(u, a), var(v, b)): 1.0}))
     except NearZeroEvent:
         return
-    support = cond.exact_support()
-    assert cond.exact_support() is support  # computed once per object
-    assert all(x[u] == a and x[v] == b for _, x in support)
+    kept = [(w, x) for w, x in d.support if x[u] == a and x[v] == b]
+    support = [(w / sum(w for w, _ in kept), x) for w, x in kept]
     for p in (sos.val_poly(inst), poly_mul(poly_oracle.vertex_val_poly(inst, u),
                                            poly_oracle.vertex_val_poly(inst, v))):
-        want = sum(w * evaluate(p, x) for w, x in support)
+        want = sum(w * poly_oracle.evaluate(p, x) for w, x in support)
         assert cond.pE(p) == pytest.approx(want, abs=1e-12, rel=0)
     prod, p = sos.ProductPE(cond, d), sos.vertex_val_and_poly(inst, u)
-    want = sum(w * evaluate(p, x, xp) for w, x, xp in prod.exact_support())
+    want = sum(w * wp * poly_oracle.evaluate(p, x, xp)
+               for w, x in support for wp, xp in d.support)
     assert prod.pE(p) == pytest.approx(want, abs=1e-12, rel=0)
 
 
-def test_surrogate_event_conditions_a_conditioned_distribution():
+def test_surrogate_event_is_rejected_on_a_distribution():
+    # a surrogate event reweights nothing, however the pseudoexpectation is backed
     d = mixture([(from_assignment(np.array([0, 1, 0, 1]), 2), 0.5),
                  (from_assignment(np.array([0, 0, 1, 1]), 2), 0.25),
                  (from_assignment(np.array([1, 1, 1, 1]), 2), 0.25)])
-    cond = condition(d, EventPoly({var(0, 0): 1.0}))  # the first two at 2/3 and 1/3
-    # 0.75 where x_1 = 1, 0.25 where x_1 = 0: weights 1/2 and 1/12, renormalised
+    cond = condition(d, EventPoly({var(0, 0): 1.0}))
     ev = EventPoly({ONE: 0.25, var(1, 1): 0.5}, provenance="surrogate")
-    once = condition(cond, ev)
-    assert [w for w, _ in once.exact_support()] == pytest.approx([6 / 7, 1 / 7])
-    assert once.moment(var(1, 1)) == pytest.approx(6 / 7)
-    ev1 = EventPoly({ONE: 0.25, canon([(1, 1, 1)]): 0.5}, provenance="surrogate")
-    via_sos = condition(sos.ProductPE(d, cond), ev1)
-    via_method = sos.ProductPE(d, cond).condition(ev1)
-    m = canon([(1, 1, 1)])
-    assert via_sos.moment(m) == via_method.moment(m) == pytest.approx(6 / 7)
+    for pe in (d, cond, shift_symmetrize(d)):
+        with pytest.raises(sos.ValidityError):
+            condition(pe, ev)
 
 
 def test_condition_degree_bookkeeping(j421_solved):
@@ -335,21 +329,21 @@ def test_condition_requires_provenance(j421_solved):
 
 
 def test_condition_entry_points_share_provenance_rule(j421_solved):
-    # a surrogate event reweights a product of distributions through either
-    # entry point, and a product of moment tables through neither
-    _, _, _, pe = j421_solved
+    # a surrogate event reweights a product through neither entry point, whether
+    # its factors are distributions or moment tables, conditioned or not
+    _, inst, _, pe = j421_solved
     dA = from_assignment(np.array([0, 1, 0, 1, 1, 0]), 2)
     dB = mixture([(from_assignment(np.array([1, 1, 0, 0, 1, 0]), 2), 0.5),
                   (from_assignment(np.array([0, 0, 0, 1, 1, 1]), 2), 0.5)])
     ev = EventPoly({ONE: 0.25, canon([(1, 0, 0)]): 0.5}, provenance="surrogate")
-    via_sos = condition(sos.ProductPE(dA, dB), ev)
-    via_method = sos.ProductPE(dA, dB).condition(ev)
-    assert [w for w, _, _ in via_sos.exact_support()] == [0.25, 0.75]
-    m = canon([(0, 1, 1), (1, 3, 1)])
-    assert via_sos.moment(m) == via_method.moment(m) == 0.75
-    for entry in (lambda: condition(product(pe), ev), lambda: product(pe).condition(ev)):
-        with pytest.raises(sos.ValidityError):
-            entry()
+    dens = EventPoly(sos.density_poly(inst, range(6), 0))
+    for prod in (sos.ProductPE(dA, dB), product(pe), product(pe).condition(dens)):
+        for entry in (lambda: condition(prod, ev), lambda: prod.condition(ev)):
+            with pytest.raises(sos.ValidityError):
+                entry()
+    # two [0,1]-provenance events multiply into one
+    twice = sos.ProductPE(dA, dB).condition(dens).condition(EventPoly({canon([(1, 0, 0)]): 1.0}))
+    assert twice.event.provenance == "zero_one_product"
 
 
 def test_conditioning_preserves_validity(j421_solved):
@@ -483,7 +477,7 @@ def test_canon_idempotent_and_mul_consistent(vars_list):
 @given(st.integers(0, 10 ** 6))
 @settings(max_examples=25, deadline=None)
 def test_poly_algebra_matches_pointwise_evaluation(seed):
-    from ugjohnson.monomials import evaluate, poly_add
+    from ugjohnson.monomials import poly_add
     rng = np.random.default_rng(seed)
     q, n = 3, 4
     monos = [ONE] + [canon([(0, int(u), int(a))]) for u in range(n) for a in range(q)]
@@ -492,7 +486,6 @@ def test_poly_algebra_matches_pointwise_evaluation(seed):
                 for _ in range(3)}
     f, h = rand_poly(), rand_poly()
     x = rng.integers(0, q, n)
-    lhs = evaluate(poly_mul(f, h), x)
-    assert lhs == pytest.approx(evaluate(f, x) * evaluate(h, x), abs=1e-9)
-    lhs2 = evaluate(poly_add(f, h), x)
-    assert lhs2 == pytest.approx(evaluate(f, x) + evaluate(h, x), abs=1e-9)
+    ev = poly_oracle.evaluate
+    assert ev(poly_mul(f, h), x) == pytest.approx(ev(f, x) * ev(h, x), abs=1e-9)
+    assert ev(poly_add(f, h), x) == pytest.approx(ev(f, x) + ev(h, x), abs=1e-9)
