@@ -1,13 +1,14 @@
 """Pseudoexpectations for the UG program: relaxation, solving, and manipulation.
 
 A degree-D pseudoexpectation is exposed as a moment oracle over canonical
-monomials in the variables X_{u,a} (and a primed copy in product mode).  The
-solver works in the reduced basis with labels 1..q-1 (label 0 eliminated via
-the partition constraint), which makes Booleanity, annihilation, and the
-partition axioms hold identically; a solved table is its reduced vector.
-Every value the library reads, `pE` of a polynomial or a local joint, is
-gathered from the single copies' full-label moment arrays; each class's
-scalar `moment` is the uncached reference.
+monomials in the variables X_{u,a} (and a primed copy in product mode).  A
+solved table is its vector in the reduced basis with labels 1..q-1 (label 0
+eliminated via the partition constraint), which makes Booleanity,
+annihilation, and the partition axioms hold identically; the SDP itself runs
+over the shift-invariant Fourier moments and is mapped back to it.  Every
+value the library reads, `pE` of a polynomial or a local joint, is gathered
+from the single copies' full-label moment arrays; each class's scalar
+`moment` is the uncached reference.
 
 Product pseudoexpectations support per-side degree up to D (the Kronecker
 product of two PSD moment matrices is PSD, so squares of polynomials with
@@ -29,7 +30,7 @@ import numpy as np
 from . import monomials as mon
 from .monomials import (EventPoly, Monomial, ONE, ZERO, Poly, canon, mul, poly_mul,
                         poly_sum, var)
-from .sdp import MomentSDP, solve_ipm
+from .sdp import MomentSDP, real_coefficients, solve_ipm
 from .ug_core import UGInstance, value as ug_value
 
 TOL_PSD = 1e-7
@@ -557,15 +558,26 @@ def z_identities_report(prod: ProductPE, inst: UGInstance, seed: int = 0) -> dic
 
 @dataclass
 class Relaxation:
+    """The degree-D moment SDP of an instance.  The problem is built on its
+    first read, so a solve that runs no SDP builds nothing."""
     inst: UGInstance
     D: int
-    problem: MomentSDP
 
     @property
     def classes(self) -> tuple[Monomial, ...]:
-        """The reduced classes that index y, built on the first read (relax
-        never needs them)."""
+        """The reduced classes that index a solved table, built on the first read
+        (relax never needs them)."""
         return monomial_classes(self.inst.vertex_count, self.inst.q, self.D, True)
+
+    @cached_property
+    def problem(self) -> MomentSDP:
+        return _invariant_problem(self.inst, self.D)
+
+    def reduced_table(self, y: np.ndarray) -> np.ndarray:
+        """The reduced table, in monomial_classes(n, q, D, True) order, whose
+        invariant Fourier moments are the problem's real unknowns y."""
+        return _reduced_from_fourier(self.inst.vertex_count, self.inst.q, self.D,
+                                     self.problem.coords(y))
 
 
 @lru_cache(maxsize=16)
@@ -720,7 +732,12 @@ def assignment_reduced_table(x: np.ndarray, q: int, D: int) -> np.ndarray:
 
 
 def relax(inst: UGInstance, D: int) -> Relaxation:
-    """Assemble the degree-D moment SDP in the reduced basis.
+    """The degree-D moment SDP over shift-invariant tables.
+
+    Affine constraints do not change under a global label shift, so averaging
+    a feasible table over the shifts keeps it feasible with the same value:
+    the SDP loses nothing when it is restricted to invariant tables, whose
+    Fourier moments vanish off total charge 0 (see _invariant_problem).
 
     For D = 2 the relaxation adds entrywise nonnegativity of all 2-vertex
     marginals (implied by the moment matrix only from degree 4 on), so that
@@ -731,32 +748,142 @@ def relax(inst: UGInstance, D: int) -> Relaxation:
     n, q = inst.vertex_count, inst.q
     if (n * q) ** (D // 2) > 40_000_000:
         raise ValueError("relaxation exceeds the desk budget")
-    T = product_table(n, q, D // 2, True)
-    B = len(T)
-    # basis pairs i <= j in row order, each off-diagonal one as (i, j) then (j, i)
-    iu, ju = np.triu_indices(B)
-    k = T[iu, ju]
-    iu, ju, k = iu[k >= 0], ju[k >= 0], k[k >= 0]
-    keep = np.column_stack([np.ones(len(k), dtype=bool), iu != ju]).ravel()
-    ei = np.column_stack([iu, ju]).ravel()[keep].astype(np.int64)
-    ej = np.column_stack([ju, iu]).ravel()[keep].astype(np.int64)
-    ek = np.repeat(k, 2)[keep]
+    return Relaxation(inst, D)
+
+
+def _charge_count(q: int, k: int, r: int) -> int:
+    """The number of charge vectors in {1..q-1}^k of total charge r mod q."""
+    return ((q - 1) ** k + (q * (r == 0) - 1) * (-1) ** k) // q
+
+
+def invariant_sizes(n: int, q: int, D: int) -> tuple[int, tuple[int, ...]]:
+    """(real unknowns, block sides r = 0..q/2) of the invariant degree-D
+    relaxation, counted in closed form; a side-1 block is the constant 1."""
+    m = sum(math.comb(n, k) * _charge_count(q, k, 0) for k in range(1, D + 1))
+    sides = tuple(sum(math.comb(n, k) * _charge_count(q, k, r) for k in range(D // 2 + 1))
+                  for r in range(q // 2 + 1))
+    return m, sides
+
+
+def _charge_grid(n: int, q: int, k: int, lo: int) -> np.ndarray:
+    """Dense charge vectors over the vertices, at [c, t]: the t-th tuple of
+    charges in lo..q-1 (itertools.product order) on the c-th k-subset.  At
+    lo = 1 the rows are the reduced k-classes, X_{u,a} read as chi_{u,a}."""
+    combos = _combinations(n, k)
+    tuples = np.asarray(list(itertools.product(range(lo, q), repeat=k)), dtype=np.int64)
+    F = np.zeros((len(combos), len(tuples), n), dtype=np.int64)
+    F[np.arange(len(combos))[:, None, None], np.arange(len(tuples))[None, :, None],
+      combos[:, None, :]] = tuples.reshape(len(tuples), k)
+    return F
+
+
+def _charge_rank(c: np.ndarray, n: int, q: int, d: int) -> np.ndarray:
+    """The index in monomial_classes(n, q, d, True) of each dense charge vector
+    of support <= d."""
+    ids = np.sort(np.where(c > 0, np.arange(n) * q + c, n * q), axis=1)[:, :d]
+    return _class_index(ids, n, q, True)
+
+
+@lru_cache(maxsize=8)
+def _invariant_layout(n: int, q: int, D: int) -> tuple[np.ndarray, np.ndarray]:
+    """(index, conj): index[r] is the coordinate of the r-th class of
+    monomial_classes(n, q, D, True), read as a charge vector, among those of
+    total charge 0 (-1 off charge 0); conj[k] is the coordinate of -c for
+    coordinate c.  Negating the labels of a k-class reverses their order
+    among the (q-1)^k label tuples of its vertex set."""
+    masks, neg, start = [], [], 0
+    for k in range(D + 1):
+        labels = np.asarray(list(itertools.product(range(1, q), repeat=k)), dtype=np.int64)
+        C, L = math.comb(n, k), len(labels)
+        masks.append(np.tile(labels.reshape(L, k).sum(axis=1) % q == 0, C))
+        neg.append(start + np.arange(C * L).reshape(C, L)[:, ::-1].ravel())
+        start += C * L
+    keep = np.concatenate(masks)
+    index = np.where(keep, np.cumsum(keep) - 1, -1)
+    conj = index[np.concatenate(neg)[keep]]
+    for a in (index, conj):
+        a.flags.writeable = False
+    return index, conj
+
+
+def _invariant_problem(inst: UGInstance, D: int) -> MomentSDP:
+    """The relaxation over the invariant Fourier moments yh[c] = pE[chi_c], c of
+    total charge 0 and support <= D, in monomial_classes(n, q, D, True) order.
+
+    Basis monomials alpha, beta of degree <= D/2 and charge r give the entry
+    pE[conj(chi_alpha) chi_beta] = yh[beta - alpha]: one coordinate, as
+    chi_{u,i} chi_{u,j} = chi_{u,i+j}.  An edge x_u - x_v = s is satisfied with
+    probability (1/q) sum_j w^{-js} yh[u:j, v:-j], and at D = 2 the pair
+    marginal pE[X_{u,d} X_{v,0}] = (1/q^2) sum_j w^{-jd} yh[u:j, v:-j] is
+    every pair marginal of an invariant table."""
+    n, q = inst.vertex_count, inst.q
+    index, conj = _invariant_layout(n, q, D)
+    basis = np.concatenate([_charge_grid(n, q, k, 1).reshape(-1, n) for k in range(D // 2 + 1)])
+    charge = basis.sum(axis=1) % q
+    sides, ei, ej, ek, start = [], [], [], [], 0
+    for r in range(q // 2 + 1):
+        a = basis[charge == r]
+        if len(a) < 2:  # the block [[1]]
+            continue
+        diff = (a[None, :, :] - a[:, None, :]) % q   # [i, j]: beta_j - alpha_i
+        i, j = np.divmod(np.arange(len(a) ** 2), len(a))
+        ei.append(i + start)
+        ej.append(j + start)
+        ek.append(index[_charge_rank(diff.reshape(-1, n), n, q, D)])
+        sides.append(len(a))
+        start += len(a)
+    ei, ej, ek = (np.concatenate(v) for v in (ei, ej, ek))
     const = ek == 0
-    # over the classes, row 0 the objective and, at D = 2, one row per full-label
-    # pair X_{u,a} X_{v,b}, u < v: each term's reduced_terms ranked, added in order
-    pairs = monomial_classes(n, q, 2, False)[1 + n * q:] if D == 2 else ()
-    terms = [(r, mm, c * cc) for r, p in enumerate([val_poly(inst)] + [{m: 1.0} for m in pairs])
-             for m, c in p.items() for mm, cc in reduced_terms(m, q)]
-    rows = np.zeros((1 + len(pairs), _reduced_count(n, q, D)))
-    np.add.at(rows, (np.asarray([t[0] for t in terms], dtype=np.int64),
-                     _class_index(_id_rows([t[1] for t in terms], n, q), n, q, True)),
-              [t[2] for t in terms])
-    G, g0 = (np.ascontiguousarray(rows[1:, 1:]), rows[1:, 0].copy()) if D == 2 else (None, None)
-    prob = MomentSDP(side=B, n_classes=rows.shape[1],
-                     entry_i=ei[~const], entry_j=ej[~const], entry_k=ek[~const],
-                     const_entries=(ei[const], ej[const]),
-                     c=rows[0].copy(), uniform_y=uniform_reduced_table(n, q, D), G=G, g0=g0)
-    return Relaxation(inst, D, prob)
+    omega = np.exp(2j * np.pi * np.arange(q) / q)
+    js = np.arange(1, q)
+
+    def pair_coords(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """The coordinate of [u:j, v:-j] at [e, j - 1]."""
+        c = np.zeros((len(U), q - 1, n), dtype=np.int64)
+        rows = np.arange(len(U))[:, None]
+        c[rows, js - 1, U[:, None]] = js
+        c[rows, js - 1, V[:, None]] = q - js
+        return index[_charge_rank(c.reshape(-1, n), n, q, 2)].reshape(len(U), q - 1)
+
+    E = np.asarray([e[:2] for e in inst.edges], dtype=np.int64).reshape(-1, 2)
+    shift = np.asarray([e[2] for e in inst.edges], dtype=np.int64)
+    w = inst.weight_array()
+    chat = np.zeros(len(conj), dtype=complex)
+    chat[0] = w.sum() / q
+    np.add.at(chat, pair_coords(E[:, 0], E[:, 1]),
+              w[:, None] / q * omega[(-js[None, :] * shift[:, None]) % q])
+    real = None if q == 2 else conj
+    G = g0 = None
+    if D == 2:
+        P = _combinations(n, 2)
+        ghat = np.zeros((len(P), q, len(conj)), dtype=complex)
+        ghat[:, :, 0] = 1.0 / q ** 2
+        d = np.arange(q)
+        ghat[np.arange(len(P))[:, None, None], d[None, :, None],
+             pair_coords(P[:, 0], P[:, 1])[:, None, :]] = omega[(-np.outer(d, js)) % q] / q ** 2
+        rows = real_coefficients(ghat.reshape(len(P) * q, -1), real)
+        G, g0 = np.ascontiguousarray(rows[:, 1:]), rows[:, 0].copy()
+    uniform = np.zeros(len(conj))
+    uniform[0] = 1.0
+    return MomentSDP(side=start, n_classes=len(conj), entry_i=ei[~const], entry_j=ej[~const],
+                     entry_k=ek[~const], const_entries=(ei[const], ej[const]),
+                     c=real_coefficients(chat, real), uniform_y=uniform, G=G, g0=g0,
+                     blocks=tuple(sides), conj=real)
+
+
+def _reduced_from_fourier(n: int, q: int, D: int, yh: np.ndarray) -> np.ndarray:
+    """The reduced table of the invariant Fourier moments yh: on each vertex set,
+    pE[prod X_{u,a_u}] = q^-k sum_j w^{-j.a} pE[chi_j], one FFT over the
+    label axes, where chi_{u,0} = 1 and yh is 0 off charge 0."""
+    index, _ = _invariant_layout(n, q, D)
+    ext = np.append(yh, 0.0)
+    out = []
+    for k in range(D + 1):
+        c = _charge_grid(n, q, k, 0)
+        Fh = ext[index[_charge_rank(c.reshape(-1, n), n, q, k)]]
+        F = np.fft.fftn(Fh.reshape((len(c),) + (q,) * k), axes=tuple(range(1, k + 1)))
+        out.append(F.real[(slice(None),) + (slice(1, None),) * k].ravel() / q ** k)
+    return np.concatenate(out)
 
 
 def _local_search(inst: UGInstance, seed: int) -> tuple[np.ndarray, float]:
@@ -814,35 +941,43 @@ def solve(relaxation: Relaxation, seed: int = 0) -> SolvedPE:
 
     A warm start of objective 1 is certified optimal and returned as it is.
     Otherwise the interior-point method runs (certified gap <= 1e-7) when the
-    class count permits a dense Schur complement, and the warm start replaces
-    its table only when it scores higher by more than the certified gap (by
-    more than 1e-9 against an uncertified table); over that budget the warm
-    start is returned uncertified.  solve_info["source"] names the table
-    returned: "sdp", "warm_start" or "warm_certificate"; on the IPM path
-    solve_info["sdp_objective"] is the IPM table's objective.
+    invariant problem permits a dense Schur complement: at most 2400 real
+    unknowns and no block side over 260, both counted in closed form before
+    anything is built.  The warm start replaces the SDP table only when it
+    scores higher by more than the certified gap (by more than 1e-9 against an
+    uncertified table); over the budget the warm start is returned
+    uncertified.  solve_info["source"] names the table returned: "sdp",
+    "warm_start" or "warm_certificate"; on the IPM path solve_info records the
+    IPM table's objective ("sdp_objective"), the block sides solved
+    ("blocks") and the real unknowns ("variables").
     """
-    prob = relaxation.problem
-    inst, q = relaxation.inst, relaxation.inst.q
+    inst, q, D = relaxation.inst, relaxation.inst.q, relaxation.D
     x_ws, v_ws = _local_search(inst, seed)
-    y = y_ws = assignment_reduced_table(x_ws, q, relaxation.D)
-    info = {"warm_value": v_ws, "objective": float(prob.c @ y_ws), "iterations": 0}
+    y = y_ws = assignment_reduced_table(x_ws, q, D)
+    info = {"warm_value": v_ws, "objective": v_ws, "iterations": 0}
+    m, sides = invariant_sizes(inst.vertex_count, q, D)
     if v_ws >= 1.0 - 1e-12:
         info.update(method="warm_certificate", source="warm_certificate", gap=0.0,
                     certified=True)
-    elif prob.m <= 2400 and prob.side <= 260:
+    elif m <= 2400 and max(sides) <= 260:
+        prob = relaxation.problem
         res = solve_ipm(prob)
         # the integral witness replaces the SDP table only when it wins by more
         # than the certified gap (an uncertified table has no slack)
         slack = res.gap if res.status == "optimal" else 0.0
-        lost = res.objective < info["objective"] - slack - 1e-9
-        y, source = (y_ws, "warm_start") if lost else (res.y, "sdp")
-        info.update(method="ipm", source=source, objective=float(prob.c @ y), gap=res.gap,
+        if res.objective < v_ws - slack - 1e-9:
+            source = "warm_start"
+        else:
+            y, source = relaxation.reduced_table(res.y), "sdp"
+            info["objective"] = float(prob.c @ res.y)
+        info.update(method="ipm", source=source, gap=res.gap,
                     certified=res.status == "optimal", iterations=res.iterations,
-                    min_eig=res.min_eig, status=res.status, sdp_objective=res.objective)
+                    min_eig=res.min_eig, status=res.status, sdp_objective=res.objective,
+                    blocks=list(prob.blocks), variables=prob.m)
     else:
         info.update(method="warm_start", source="warm_start", gap=math.nan, certified=False,
                     status="over_budget")
-    return SolvedPE(inst.vertex_count, q, relaxation.D, y, solve_info=info)
+    return SolvedPE(inst.vertex_count, q, D, y, solve_info=info)
 
 
 # ---------------------------------------------------------------------------

@@ -132,15 +132,14 @@ def suite_potentials(seed: int = 0) -> dict:
     # shift-variable identities on a solved product
     g4 = johnson.build(4, 2, 0.5)
     inst4, _ = ug_core.plant(g4, 2, ug_core.PlantedSpec(0.3, seed + 2))
-    rel4 = sos.relax(inst4, 4)
-    pe = sos.solve(rel4)
+    pe = sos.solve(sos.relax(inst4, 4))
     prod = sos.product(pe)
     zrep = sos.z_identities_report(prod, inst4, seed=seed)
     checks["z_identities"] = zrep | {"ok": max(zrep.values()) <= 1e-9}
     # psi on a uniform table has the closed form
-    peU = sos.SolvedPE(inst4.vertex_count, 2, 4, rel4.problem.uniform_y)
-    psi = pot.psi_potential(peU, inst4)
     n, q = inst4.vertex_count, 2
+    peU = sos.SolvedPE(n, q, 4, sos.uniform_reduced_table(n, q, 4))
+    psi = pot.psi_potential(peU, inst4)
     expected = (1 / n) * (1 / q) + (1 - 1 / n) * (1 / q ** 2)
     checks["psi_uniform"] = {"value": psi, "expected": expected,
                              "ok": abs(psi - expected) <= 1e-9}

@@ -1,10 +1,11 @@
 """The basis-product table against the pair loops it replaced.
 
-relax, moment_matrix and validate's reduced fallback each used to multiply
-every pair of basis monomials in Python, and product_table itself did too
-before it ranked them with sos._class_index.  Those loops are kept here as
-reference oracles, and the table and the arrays built from it must equal
-theirs exactly, in both label bases.
+The reduced-basis relaxation (now the oracle in reduced_oracle.py),
+moment_matrix and validate's reduced fallback each used to multiply every
+pair of basis monomials in Python, and product_table itself did too before it
+ranked them with sos._class_index.  Those loops are kept here as reference
+oracles, and the table and the arrays built from it must equal theirs
+exactly, in both label bases.
 """
 
 import itertools
@@ -16,6 +17,7 @@ from ugjohnson import johnson, sos, ug_core
 from ugjohnson.monomials import ONE, ZERO, mul, var
 
 from label0_oracle import expand_label0
+from reduced_oracle import reduced_problem
 
 CASES = [(n, q, D) for n in (4, 5, 6) for q in (2, 3) for D in (2, 4)]
 IDS = [f"J({n},2,1)-q{q}-D{D}" for n, q, D in CASES]
@@ -123,7 +125,7 @@ def test_relax_matches_pair_loop(n, q, D):
     inst = _instance(n, q)
     rel = sos.relax(inst, D)
     classes, ref = reference_problem(inst, D)
-    prob = rel.problem
+    prob = reduced_problem(inst, D)
     assert list(rel.classes) == classes
     assert (prob.side, prob.n_classes) == (ref["side"], ref["n_classes"])
     for key in ("entry_i", "entry_j", "entry_k", "c", "uniform_y"):
@@ -160,14 +162,14 @@ class _Lookup(sos.PseudoExpectation):
 
 
 def test_relax_builds_no_degree_D_classes(monkeypatch):
-    # J(8,2,1) q=3 D=4 has 355,377 reduced classes, which relax never reads;
-    # Relaxation.classes lists them on demand
+    # J(8,2,1) q=3 D=4 has 355,377 reduced classes, which the reduced-basis
+    # assembly never reads; Relaxation.classes lists them on demand
     seen, real = [], sos.monomial_classes
     monkeypatch.setattr(sos, "monomial_classes",
                         lambda n, q, d, reduced: seen.append(d) or real(n, q, d, reduced))
     inst, _ = ug_core.plant(johnson.build(8, 2, 0.5), 3, ug_core.PlantedSpec(0.05, 1))
-    rel = sos.relax(inst, 4)
-    assert 4 not in seen and rel.problem.n_classes == 355_377
+    sos.relax(inst, 4)
+    assert 4 not in seen and reduced_problem(inst, 4).n_classes == 355_377
 
 
 @pytest.mark.parametrize("n,q,D", CASES, ids=IDS)

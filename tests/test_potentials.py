@@ -151,8 +151,7 @@ def test_data_processing():
 def test_pairwise_mi_independent_is_zero(setup):
     g, inst, A, _ = setup
     # uniform independent labels: a solved uniform table
-    rel = sos.relax(inst, 4)
-    peU = sos.SolvedPE(10, 2, 4, rel.problem.uniform_y)
+    peU = sos.SolvedPE(10, 2, 4, sos.uniform_reduced_table(10, 2, 4))
     prod = sos.ProductPE(peU, peU)
     coll = LocalDistributionCollection(prod)
     stats = pairwise_mi(coll, range(6), max_pairs=10)

@@ -7,6 +7,8 @@ import pytest
 from ugjohnson import johnson, sos, ug_core
 from ugjohnson.sdp import _schur, _schur_plan, repair_psd, solve_admm, solve_ipm
 
+from reduced_oracle import reduced_problem
+
 
 @pytest.fixture(scope="module")
 def medium_relaxation():
@@ -39,14 +41,16 @@ def test_admm_deterministic(medium_relaxation):
 
 
 def test_repair_psd_restores_feasibility(medium_relaxation):
-    _, rel = medium_relaxation
-    y = rel.problem.uniform_y.copy()
+    # on the reduced-basis problem, whose uniform point is not the identity
+    inst, _ = medium_relaxation
+    prob = reduced_problem(inst, 4)
+    y = prob.uniform_y.copy()
     k = len(y) // 3
     y[k] += 0.8  # break PSD-ness
-    M = rel.problem.assemble(y)
+    M = prob.assemble(y)
     assert np.linalg.eigvalsh(M).min() < 0
-    fixed = repair_psd(rel.problem, y)
-    assert np.linalg.eigvalsh(rel.problem.assemble(fixed)).min() >= -1e-12
+    fixed = repair_psd(prob, y)
+    assert np.linalg.eigvalsh(prob.assemble(fixed)).min() >= -1e-12
     assert fixed[0] == 1.0
 
 
@@ -104,8 +108,9 @@ def _schur_by_class_loop(prob, Sinv, X, d):
 
 @pytest.mark.parametrize("n, q, D", [(6, 3, 2), (4, 3, 4)])
 def test_schur_build_matches_class_loop(n, q, D):
+    # one real block: the reduced-basis problem (complex blocks: test_invariant_sdp.py)
     inst, _ = ug_core.plant(johnson.build(n, 2, 0.5), q, ug_core.PlantedSpec(0.5, 1))
-    prob = sos.relax(inst, D).problem
+    prob = reduced_problem(inst, D)
     assert (prob.G is not None) == (D == 2)
     rng = np.random.default_rng(D)
     B = prob.side
@@ -114,8 +119,9 @@ def test_schur_build_matches_class_loop(n, q, D):
     Sinv = (Sinv + Sinv.T) / 2
     X = C @ C.T + B * np.eye(B)
     d = rng.uniform(0.1, 2.0, 0 if prob.G is None else prob.G.shape[0])
-    H = _schur(_schur_plan(prob), Sinv, X, d)
-    ref = _schur_by_class_loop(prob, Sinv, X, d)
+    plan = _schur_plan(prob)
+    H = _schur(plan, [Sinv], [X], d)
+    ref = _schur_by_class_loop(prob, Sinv, X, d)[np.ix_(plan.order, plan.order)]
     assert np.abs(H - ref).max() <= 1e-12 * np.abs(ref).max()
 
 

@@ -132,7 +132,10 @@ def test_over_budget_returns_the_labelled_warm_start(monkeypatch):
         "iterations": 0, "status": "over_budget"}
     assert math.isnan(info["gap"]) and info["warm_value"] < 1.0
     assert np.array_equal(pe.y, _warm_y(rel))
-    assert info["objective"] == float(rel.problem.c @ pe.y)
+    # the budget is counted before anything is built, and the table's objective
+    # is the warm value
+    assert "problem" not in vars(rel) and "blocks" not in info
+    assert info["objective"] == info["warm_value"]
 
 
 @pytest.mark.parametrize("n, q, D, source", [(5, 2, 4, "sdp"), (6, 2, 2, "sdp")])
@@ -154,15 +157,16 @@ def test_warm_start_replaces_the_sdp_table_only_beyond_its_gap(
         monkeypatch, below, gap, status, source):
     rel = relax(_planted(5, 2, 0.5, 1000), 4)
     warm = _warm_y(rel)
-    y_ws = float(rel.problem.c @ warm)
-    y_sdp = rel.problem.uniform_y
+    y_ws = sos._local_search(rel.inst, 0)[1]
+    y_sdp = rel.problem.uniform_y   # the invariant moments of the uniform table
     monkeypatch.setattr(sos, "solve_ipm", lambda prob: SDPResult(
         y=y_sdp, objective=y_ws - below, gap=gap, primal_residual=0.0, iterations=3,
         method="ipm", status=status))
     pe = solve(rel)
     assert pe.solve_info["source"] == source
     assert pe.solve_info["sdp_objective"] == y_ws - below
-    assert np.array_equal(pe.y, warm if source == "warm_start" else y_sdp)
+    uniform = sos.uniform_reduced_table(10, 2, 4)
+    assert np.array_equal(pe.y, warm if source == "warm_start" else uniform)
 
 
 # --------------------------------------------------------------------------
