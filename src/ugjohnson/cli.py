@@ -117,6 +117,7 @@ def cmd_round(args) -> int:
     t0 = time.time()
     x, trace = rounding.main_algorithm(inst, cfg)
     runtime = time.time() - t0
+    could, recorded = trace.could_fail()
     opt = None
     try:
         _, opt = ug_core.brute_force_opt(inst, budget=args.brute_budget)
@@ -128,9 +129,11 @@ def cmd_round(args) -> int:
         "brute_force_opt": opt,
         "iterations": len(trace.records),
         "runtime_s": runtime,
+        "checks_could_fail": could,
         "ok": True,
         "summary": f"value {trace.final_value:.6f}"
-                   + (f" (OPT {opt:.6f})" if opt is not None else ""),
+                   + (f" (OPT {opt:.6f})" if opt is not None else "")
+                   + f"; {could} of {recorded} SubRound checks could have failed",
     }
     if args.out:
         with open(args.out, "w") as fh:

@@ -114,6 +114,14 @@ class RoundingTrace:
                                 sort_keys=True, default=float))
         return "\n".join(lines) + "\n"
 
+    def could_fail(self) -> tuple[int, int]:
+        """How many of the SubRound inequality checks recorded could have
+        failed on their own numbers, and how many were recorded."""
+        checks = [rec[key] for rec in self.records
+                  for key in ("tv_check", "rounding_guarantee", "potential_relation")
+                  if key in rec]
+        return sum(c["could_fail"] for c in checks), len(checks)
+
 
 # ---------------------------------------------------------------------------
 # Condition & Round
@@ -367,6 +375,7 @@ def tv_conditioning_check(prod: ProductPE, cond: ProductPE, S: Sequence[int],
     return {"fraction_exceeding": frac, "tvs": [float(t) for t in tvs],
             "delta": cfg.delta, "tau_bar": tau_bar, "p_bar": p_bar,
             "bound": bound, "bound_ok": frac <= bound + 1e-9,
+            "could_fail": bool(bound < 1.0),  # the fraction is at most 1
             "constant": TV_EXCEEDANCE_CONST}
 
 
@@ -439,7 +448,8 @@ def subround(inst: UGInstance, pe: PseudoExpectation, a: Optional[tuple],
     record["rounding_guarantee"] = {"phi": gamma_m, "delta": delta_m, "zeta": zeta_m,
                          "guarantee": guarantee, "achieved": v,
                          "constant": ROUND_J_CONST,
-                         "ok": v >= guarantee - 1e-6}
+                         "ok": v >= guarantee - 1e-6,
+                         "could_fail": bool(guarantee > 0.0)}  # the value is at least 0
     psi1 = pot.psi_potential(mu1s, inst, scope=S)
     psi2 = pot.psi_potential(mu2s, inst, scope=S)
     bn = cfg.beta - cfg.nu
@@ -447,7 +457,8 @@ def subround(inst: UGInstance, pe: PseudoExpectation, a: Optional[tuple],
         + 2 * delta_m + 2 * zeta_m + 1.0 / len(S)
     record["potential_relation"] = {"phi": gamma_m, "psi1": psi1, "psi2": psi2,
                               "rhs": rel_rhs, "slack": rel_rhs - gamma_m,
-                              "ok": gamma_m <= rel_rhs + 1e-6}
+                              "ok": gamma_m <= rel_rhs + 1e-6,
+                              "could_fail": bool(rel_rhs < 1.0)}  # Phi is at most 1
     return x, record
 
 

@@ -364,6 +364,9 @@ def solve_ipm(prob: MomentSDP, tol: float = 1e-8, max_iter: int = 80) -> SDPResu
     def inner(As: list, Bs: list) -> float:
         return sum(np.vdot(A, B).real for A, B in zip(As, Bs))
 
+    def converged(gap: float, r_p: np.ndarray, obj: float) -> bool:
+        return gap <= tol * (1 + abs(obj)) and np.abs(r_p).max() <= tol * 10
+
     # strictly feasible dual start: the uniform moments (an interior point)
     z = prob.uniform_y[1:].copy()
     S = make_S(z)
@@ -381,8 +384,7 @@ def solve_ipm(prob: MomentSDP, tol: float = 1e-8, max_iter: int = 80) -> SDPResu
         gap = float(inner(X, S) + w @ t)
         mu = gap / n_cone
         r_p = -b - op_A(X, w)
-        obj = float(b @ z + prob.c[0])
-        if gap <= tol * (1 + abs(obj)) and np.abs(r_p).max() <= tol * 10:
+        if converged(gap, r_p, float(b @ z + prob.c[0])):
             status = "optimal"
             break
         try:
@@ -439,8 +441,12 @@ def solve_ipm(prob: MomentSDP, tol: float = 1e-8, max_iter: int = 80) -> SDPResu
         t = g0 + G @ z
     y = np.concatenate([[1.0], z])
     gap = float(inner(X, S) + w @ t)
-    return SDPResult(y=y, objective=float(b @ z + prob.c[0]), gap=gap,
-                     primal_residual=float(np.abs(-b - op_A(X, w)).max()),
+    r_p = -b - op_A(X, w)
+    obj = float(b @ z + prob.c[0])
+    if status == "max_iter" and converged(gap, r_p, obj):
+        status = "optimal"  # the last step's iterate, which the loop never tests
+    return SDPResult(y=y, objective=obj, gap=gap,
+                     primal_residual=float(np.abs(r_p).max()),
                      iterations=it, method="ipm", status=status,
                      min_eig=float(min(np.linalg.eigvalsh(Sb).min() for Sb in S)))
 

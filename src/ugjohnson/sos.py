@@ -8,7 +8,8 @@ annihilation, and the partition axioms hold identically; the SDP itself runs
 over the shift-invariant Fourier moments and is mapped back to it.  Every
 value the library reads, `pE` of a polynomial or a local joint, is gathered
 from the single copies' full-label moment arrays; each class's scalar
-`moment` is the uncached reference.
+`moment` is the uncached reference.  `validate` checks only what a table can
+break: scaling, PSD-ness and every pair marginal's nonnegativity.
 
 Product pseudoexpectations support per-side degree up to D (the Kronecker
 product of two PSD moment matrices is PSD, so squares of polynomials with
@@ -28,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import monomials as mon
-from .monomials import (EventPoly, Monomial, ONE, ZERO, Poly, canon, mul, poly_mul,
+from .monomials import (EventPoly, Monomial, ONE, ZERO, Poly, mul, poly_mul,
                         poly_sum, var)
 from .sdp import MomentSDP, real_coefficients, solve_ipm
 from .ug_core import UGInstance, value as ug_value
@@ -524,34 +525,6 @@ def density_poly(inst: UGInstance, sub_ids: Sequence[int], s: int) -> Poly:
     return poly_sum((w, z_poly(int(u), s, inst.q)) for u in sub_ids)
 
 
-def z_identities_report(prod: ProductPE, inst: UGInstance, seed: int = 0) -> dict:
-    """Residuals of the three shift-variable identities (Booleanity, partition,
-    crossing-edge annihilation) on the given product pseudoexpectation."""
-    rng = np.random.default_rng(seed)
-    q = prod.q
-    verts = rng.choice(prod.n_vertices, size=min(6, prod.n_vertices), replace=False)
-    bool_res = 0.0
-    part_res = 0.0
-    for u in verts:
-        for s in range(q):
-            zp = z_poly(int(u), s, q)
-            bool_res = max(bool_res, abs(prod.pE(poly_mul(zp, zp)) - prod.pE(zp)))
-        part_res = max(part_res, abs(sum(prod.pE(z_poly(int(u), s, q))
-                                         for s in range(q)) - 1.0))
-    cross_res = 0.0
-    m_edges = min(12, inst.num_edges)
-    eidx = rng.choice(inst.num_edges, size=m_edges, replace=False)
-    for k in eidx:
-        (u, v, b) = inst.edges[int(k)]
-        y = edge_sat_poly(inst, int(k), copy=0)
-        yp = edge_sat_poly(inst, int(k), copy=1)
-        for s in range(q):
-            sp = (s + 1) % q
-            p = poly_mul(poly_mul(z_poly(u, s, q), z_poly(v, sp, q)), poly_mul(y, yp))
-            cross_res = max(cross_res, abs(prod.pE(p)))
-    return {"booleanity": bool_res, "partition": part_res, "crossing": cross_res}
-
-
 # ---------------------------------------------------------------------------
 # relaxation assembly and solving
 
@@ -994,26 +967,24 @@ def moment_matrix(pe: PseudoExpectation, half_degree: Optional[int] = None,
     return pe.flat_moments(2 * d)[product_table(pe.n_vertices, pe.q, d, False)], list(basis)
 
 
-_INVARIANTS = ("scaling_residual", "partition_residual", "marginal_sum_residual", "psd",
-               "marginal_nonneg")
+_INVARIANTS = ("scaling_residual", "psd", "marginal_nonneg")
 
 
-def validate(pe: PseudoExpectation, side_cap: int = 1800, seed: int = 0) -> dict:
-    """Scaling, PSD, partition residuals, and marginal sanity.
-
-    There is no Booleanity check: every read goes through _class_index, which
-    merges X^2 = X before it ranks a monomial, so no table can break it.  A
-    product is checked on both marginals: each residual reports the worse
-    copy, and an invariant fails when it fails on either.  rep["failed"]
-    names the invariants that do not hold; rep["ok"] is true when it is empty."""
-    rng = np.random.default_rng(seed)  # copy 0 draws first, as a single copy does
+def validate(pe: PseudoExpectation, side_cap: int = 1800) -> dict:
+    """Scaling pE[1] = 1, PSD of the moment matrix and nonnegativity of every
+    pair marginal: the checks a table can fail.  Booleanity and partition need
+    none, as _class_index merges X^2 = X before any read and a label-0 moment is
+    the degree below minus labels >= 1.  A product is checked on both marginals:
+    each entry reports the worse copy, and an invariant fails when it fails on
+    either.  rep["failed"] names the invariants that do not hold; rep["ok"] is
+    true when it is empty."""
     rep: dict = {"mode": pe.mode, "degree": pe.degree}
     rep["scaling_residual"] = abs(pe.pE({ONE: 1.0}) - 1.0)
     failed = set() if rep["scaling_residual"] <= 1e-6 else {"scaling_residual"}
     targets = ([pe] if pe.mode == "single"
                else [pe.marginal_pe(0), pe.marginal_pe(1)])  # type: ignore[attr-defined]
     for target in targets:
-        part, part_failed = _single_copy_checks(target, side_cap, rng)
+        part, part_failed = _single_copy_checks(target, side_cap)
         failed |= part_failed
         for key, val in part.items():
             rep[key] = _worse(key, rep[key], val) if key in rep else val
@@ -1029,8 +1000,7 @@ def _worse(key: str, a, b):
     return min(a, b) if key in ("min_eig", "marginal_min_entry") else max(a, b)
 
 
-def _single_copy_checks(target: PseudoExpectation, side_cap: int,
-                        rng: np.random.Generator) -> tuple[dict, set]:
+def _single_copy_checks(target: PseudoExpectation, side_cap: int) -> tuple[dict, set]:
     """validate's checks on one single-copy pseudoexpectation: its report
     entries and the names of the invariants that fail on it."""
     rep: dict = {}
@@ -1046,36 +1016,11 @@ def _single_copy_checks(target: PseudoExpectation, side_cap: int,
             rep["moment_matrix_basis"] = "reduced"
     rep["min_eig"] = None if M is None else float(np.linalg.eigvalsh(M).min())
     rep["moment_matrix_side"] = None if M is None else len(M)
-    part = 0.0
-    n, q = target.n_vertices, target.q
-    probe_monomials: list[Monomial] = [ONE]
-    max_extra = max(0, min(target.degree - 1, 2))
-    for _ in range(12):
-        k = int(rng.integers(0, max_extra + 1))
-        verts = rng.choice(n, size=k, replace=False)
-        m = canon(((0, int(u), int(rng.integers(0, q))) for u in verts))
-        if m is not ZERO:
-            probe_monomials.append(m)
-    for m in probe_monomials:
-        # pE[m], then pE[m X_{u,a}] over the labels a of the first four vertices u outside m
-        free = [u for u in range(n) if all(u != w for (_, w, _) in m)][:4]
-        ext = [mul(m, var(u, a)) for u in free for a in range(q)]
-        vals = _rows_moments(target, _id_rows([m] + ext, n, q), np.zeros((1, 0), np.int32))[0]
-        part = float(np.abs(vals[1:].reshape(-1, q).sum(axis=1) - vals[0]).max(initial=part))
-    rep["partition_residual"] = part
-    worst_neg, worst_sum = 0.0, 0.0
-    if target.degree >= 2:
-        pairs = list(itertools.combinations(range(n), 2))
-        take = rng.choice(len(pairs), size=min(40, len(pairs)), replace=False)
-        Mm = target.tuple_moments([pairs[int(t)] for t in take])
-        worst_neg = min(worst_neg, float(Mm.min()))
-        worst_sum = float(np.abs(Mm.sum(axis=(1, 2)) - 1.0).max(initial=0.0))
-    rep["marginal_min_entry"] = worst_neg
-    rep["marginal_sum_residual"] = worst_sum
-    holds = {"partition_residual": part <= 1e-6,
-             "marginal_sum_residual": worst_sum <= 1e-6,
-             "psd": rep["min_eig"] is None or rep["min_eig"] >= -TOL_PSD,
-             "marginal_nonneg": worst_neg >= -1e-6}
+    # every pair marginal, at every label pair
+    pairs = target.label_moments(2)[2] if target.degree >= 2 else ()
+    rep["marginal_min_entry"] = float(np.min(pairs, initial=0.0))
+    holds = {"psd": rep["min_eig"] is None or rep["min_eig"] >= -TOL_PSD,
+             "marginal_nonneg": rep["marginal_min_entry"] >= -1e-6}
     return rep, {name for name, ok in holds.items() if not ok}
 
 

@@ -129,13 +129,8 @@ def suite_potentials(seed: int = 0) -> dict:
             ok &= rep["ok"]
             worst_slack = min(worst_slack, rep["slack"])
     checks["potential_restriction"] = {"ok": ok, "worst_slack": worst_slack}
-    # shift-variable identities on a solved product
     g4 = johnson.build(4, 2, 0.5)
     inst4, _ = ug_core.plant(g4, 2, ug_core.PlantedSpec(0.3, seed + 2))
-    pe = sos.solve(sos.relax(inst4, 4))
-    prod = sos.product(pe)
-    zrep = sos.z_identities_report(prod, inst4, seed=seed)
-    checks["z_identities"] = zrep | {"ok": max(zrep.values()) <= 1e-9}
     # psi on a uniform table has the closed form
     n, q = inst4.vertex_count, 2
     peU = sos.SolvedPE(n, q, 4, sos.uniform_reduced_table(n, q, 4))
@@ -185,11 +180,16 @@ def suite_pipeline(seed: int = 0) -> dict:
     checks = {
         "value": {"achieved": trace.final_value, "opt": opt,
                   "ok": trace.final_value >= 0.9 * opt},
-        "rounding_guarantee": {"ok": rec["rounding_guarantee"]["ok"]},
-        "potential_relation": {"ok": rec["potential_relation"]["ok"]},
-        "tv_bound": {"ok": rec["tv_check"]["bound_ok"]},
+        "rounding_guarantee": {"ok": rec["rounding_guarantee"]["ok"],
+                               "could_fail": rec["rounding_guarantee"]["could_fail"]},
+        "potential_relation": {"ok": rec["potential_relation"]["ok"],
+                               "could_fail": rec["potential_relation"]["could_fail"]},
+        "tv_bound": {"ok": rec["tv_check"]["bound_ok"],
+                     "could_fail": rec["tv_check"]["could_fail"]},
         "disjoint": {"ok": rec["disjoint_ok"]},
     }
     ok = all(c["ok"] for c in checks.values())
+    could, recorded = trace.could_fail()
     return {"ok": ok, "checks": checks,
-            "summary": f"achieved {trace.final_value:.3f} vs OPT {opt:.3f}"}
+            "summary": f"achieved {trace.final_value:.3f} vs OPT {opt:.3f}; "
+                       f"{could} of {recorded} SubRound checks could have failed"}

@@ -1,8 +1,9 @@
 """The program polynomials as they were built before `sos.shift_poly`, one
 hand-written loop each, kept as reference oracles, with the q n^2 loop of
 Z-monomial products that evaluated Phi on the moment path, the list of
-disjoint pair-of-pairs that `pairwise_mi` drew from, and a polynomial's value
-at an integral assignment (pair)."""
+disjoint pair-of-pairs that `pairwise_mi` drew from, a polynomial's value
+at an integral assignment (pair), and the shift-variable identities as exact
+polynomial equalities."""
 
 import itertools
 
@@ -95,3 +96,23 @@ def evaluate(p, x, xp=None):
         if all((x[u] if cp == 0 else xp[u]) == a for (cp, u, a) in m):
             tot += c
     return tot
+
+
+def z_identity_failures(inst):
+    """The shift-variable identities that `poly_mul`'s canonicalisation makes
+    exact polynomial equalities, named where one does not hold: Booleanity
+    Z_{u,s}^2 = Z_{u,s}; partition sum_s Z_{u,s} = (sum_a X_{u,a})(sum_b X'_{u,b});
+    crossing Z_{u,s} Z_{v,t} Y_e Y'_e = 0 for every edge e = (u, v) and t != s."""
+    q, failures = inst.q, []
+    for u in range(inst.vertex_count):
+        zs = [z_poly(u, s, q) for s in range(q)]
+        failures += [f"booleanity u={u} s={s}" for s, z in enumerate(zs) if poly_mul(z, z) != z]
+        labels = [{var(u, a, c): 1.0 for a in range(q)} for c in (0, 1)]
+        if poly_add(*zs) != poly_mul(*labels):
+            failures.append(f"partition u={u}")
+    for k, (u, v, _) in enumerate(inst.edges):
+        both = poly_mul(edge_sat_poly(inst, k, 0), edge_sat_poly(inst, k, 1))
+        failures += [f"crossing edge={k} s={s} t={t}"
+                     for s, t in itertools.permutations(range(q), 2)
+                     if poly_mul(poly_mul(z_poly(u, s, q), z_poly(v, t, q)), both)]
+    return failures

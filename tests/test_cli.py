@@ -13,7 +13,7 @@ from ugjohnson.cli import main
 from ugjohnson.monomials import monomial_name
 
 
-def test_generate_solve_round(tmp_path):
+def test_generate_solve_round(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     assert main(["generate", "--n", "5", "--l", "2", "--alpha", "0.5",
                  "--q", "2", "--eps", "0.0", "--seed", "3",
@@ -33,6 +33,8 @@ def test_generate_solve_round(tmp_path):
     assert round_rep["achieved_value"] >= 0.9
     assert round_rep["brute_force_opt"] == pytest.approx(1.0)
     assert "input_hash" in round_rep["config"]
+    assert 0 <= round_rep["checks_could_fail"] <= 3 * round_rep["iterations"]
+    assert "SubRound checks could have failed" in capsys.readouterr().out
 
 
 def test_generate_deterministic(tmp_path):

@@ -286,6 +286,26 @@ def test_main_algorithm_planted(planted421):
     assert rec["disjoint_ok"] and rec["value_drop"]["ok"] and rec["chernoff"]["ok"]
 
 
+def test_subround_checks_say_whether_they_could_fail(planted421):
+    g, inst, A = planted421
+    cfg = RoundingConfig.for_instance(inst, eps=0.0, degree=4, seed=0)
+    _, trace = main_algorithm(inst, cfg, witness=A)
+    flags = []
+    for rec in trace.records:
+        tv, rg, pr = rec["tv_check"], rec["rounding_guarantee"], rec["potential_relation"]
+        assert tv["could_fail"] == (tv["bound"] < 1.0)          # a fraction is <= 1
+        assert rg["could_fail"] == (rg["guarantee"] > 0.0)      # a value is >= 0
+        assert pr["could_fail"] == (pr["rhs"] < 1.0)            # Phi is <= 1
+        flags += [tv["could_fail"], rg["could_fail"], pr["could_fail"]]
+    assert trace.could_fail() == (sum(flags), len(flags)) and flags
+    # the TV bound drops below 1 on a large scope with no MI left and delta = 1
+    pe = sos.from_assignment(np.zeros(20, dtype=np.int64), 2)
+    prod = sos.ProductPE(pe, pe)
+    cfg.delta = 1.0
+    rep = tv_conditioning_check(prod, prod.condition(EventPoly({ONE: 1.0})), range(20), cfg, 0.0)
+    assert rep["bound"] == pytest.approx(16 / 20) and rep["could_fail"] and rep["bound_ok"]
+
+
 def test_main_algorithm_deterministic(planted421):
     g, inst, A = planted421
     cfg = RoundingConfig.for_instance(inst, eps=0.0, degree=4, seed=5)

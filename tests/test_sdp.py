@@ -25,6 +25,20 @@ def test_ipm_certifies_small_gap(medium_relaxation):
     assert res.min_eig >= -1e-9  # dual slack is PSD by construction
 
 
+def test_ipm_tests_the_last_iterate():
+    g = johnson.build(4, 2, 0.5)
+    inst, _ = ug_core.plant(g, 2, ug_core.PlantedSpec(0.3, 3))
+    prob = sos.relax(inst, 2).problem
+    full = solve_ipm(prob)
+    assert full.status == "optimal" and full.iterations >= 3
+    # one iteration fewer takes the same steps; their last iterate is the optimum
+    last = solve_ipm(prob, max_iter=full.iterations - 1)
+    assert last.status == "optimal" and last.iterations == full.iterations - 1
+    assert np.array_equal(last.y, full.y) and last.gap == full.gap
+    short = solve_ipm(prob, max_iter=full.iterations - 2)
+    assert short.status == "max_iter"
+
+
 def test_admm_matches_ipm(medium_relaxation):
     _, rel = medium_relaxation
     res_i = solve_ipm(rel.problem)
