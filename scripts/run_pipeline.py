@@ -39,9 +39,7 @@ def main():
         if rec.get("stalled"):
             print(f"  iter {rec['iteration']}: stalled (no dense subcube)")
             continue
-        mi_x = rec["rt_reduce"]["mi_x"]
-        mi = "n/a" if mi_x is None else \
-            f"({mi_x:.4f},{rec['rt_reduce']['mi_xp']:.4f})"
+        mi = f"({rec['rt_reduce']['mi_x']:.4f},{rec['rt_reduce']['mi_xp']:.4f})"
         print(f"  iter {rec['iteration']}: subcube |a|={len(rec['chosen']['a'])} "
               f"s={rec['chosen']['s']} event={rec['chosen']['event']} "
               f"value={rec['value']:.4f} "

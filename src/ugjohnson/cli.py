@@ -185,11 +185,19 @@ def cmd_verify(args) -> int:
 
 
 def _load_pe_file(path: str):
-    """The SolvedPE of a `solve --out` file; a ValueError names a missing or unexpected key."""
+    """The SolvedPE of a `solve --out` file; a ValueError names an unreadable
+    file or a missing or unexpected key."""
     from . import sos
     from .monomials import monomial_name
-    with open(path) as fh:
-        d = json.load(fh)
+    try:
+        with open(path) as fh:
+            d = json.load(fh)
+    except OSError as err:
+        raise ValueError(f"{path}: {err.strerror}") from err
+    missing = [k for k in ("header", "table") if k not in d] or \
+        [f"header.{k}" for k in ("n", "q", "degree") if k not in d["header"]]
+    if missing:
+        raise ValueError(f"{path}: missing key {missing[0]}")
     (n, q, D), table = (d["header"][k] for k in ("n", "q", "degree")), d["table"]
     names = [monomial_name(m) for m in sos.monomial_classes(n, q, D, True)]
     bad = [f"missing key {k}" for k in names if k not in table] + \

@@ -9,7 +9,8 @@ over the shift-invariant Fourier moments and is mapped back to it.  Every
 value the library reads, `pE` of a polynomial or a local joint, is gathered
 from the single copies' full-label moment arrays; each class's scalar
 `moment` is the uncached reference.  `validate` checks only what a table can
-break: scaling, PSD-ness and every pair marginal's nonnegativity.
+break: scaling, PSD-ness of the reduced-basis moment matrix and every pair
+marginal's nonnegativity.
 
 Product pseudoexpectations support per-side degree up to D (the Kronecker
 product of two PSD moment matrices is PSD, so squares of polynomials with
@@ -109,6 +110,12 @@ class PseudoExpectation:
             out.append(flat[start:start + size].reshape((-1,) + (q,) * k))
             start += size
         return out
+
+    def reduced_moments(self, d: int) -> np.ndarray:
+        """The moments of degree <= d at labels >= 1, in monomial_classes(n, q,
+        d, True) order, then a 0 that index -1 (ZERO) reads."""
+        return np.concatenate([F[(slice(None),) + (slice(1, None),) * k].ravel()
+                               for k, F in enumerate(self.label_moments(d))] + [np.zeros(1)])
 
     def flat_moments(self, d: int) -> np.ndarray:
         """The full-label moments of degree <= d in monomial_classes(n, q, d,
@@ -569,19 +576,19 @@ def monomial_classes(n: int, q: int, max_deg: int, reduced: bool) -> tuple[Monom
 
 
 @lru_cache(maxsize=8)
-def product_table(n: int, q: int, half_deg: int, reduced: bool) -> np.ndarray:
+def product_table(n: int, q: int, half_deg: int) -> np.ndarray:
     """Read-only (B, B) table of the index in monomial_classes(n, q, 2 half_deg,
-    reduced) of the product of basis monomials i and j; -1 where it is ZERO.
-    One _class_index call per block of rows, on and above the diagonal only,
-    keeps the working memory small; the table is symmetric, so each block is
-    mirrored below.  Callers pass every argument by position, so equal calls
+    True) of the product of reduced basis monomials i and j; -1 where it is
+    ZERO.  One _class_index call per block of rows, on and above the diagonal
+    only, keeps the working memory small; the table is symmetric, so each block
+    is mirrored below.  Callers pass every argument by position, so equal calls
     share one entry."""
-    basis = _id_rows(monomial_classes(n, q, half_deg, reduced), n, q)
+    basis = _id_rows(monomial_classes(n, q, half_deg, True), n, q)
     T = np.empty((len(basis),) * 2, dtype=np.int64)
     step = max(1, (1 << 18) // len(basis))
     for lo in range(0, len(basis), step):
         hi = lo + step
-        T[lo:hi, lo:] = _product_index(n, q, basis[lo:], basis[lo:hi], reduced)
+        T[lo:hi, lo:] = _product_index(n, q, basis[lo:], basis[lo:hi], True)
         T[hi:, lo:hi] = T[lo:hi, hi:].T
     T.flags.writeable = False
     return T
@@ -699,9 +706,7 @@ def uniform_reduced_table(n: int, q: int, D: int) -> np.ndarray:
 def assignment_reduced_table(x: np.ndarray, q: int, D: int) -> np.ndarray:
     """Reduced moments of the shift orbit of the integral assignment x: its
     label moments at labels >= 1, in monomial_classes(len(x), q, D, True) order."""
-    L = shift_symmetrize(from_assignment(x, q)).label_moments(D)
-    return np.concatenate([F[(slice(None),) + (slice(1, None),) * k].ravel()
-                           for k, F in enumerate(L)])
+    return shift_symmetrize(from_assignment(x, q)).reduced_moments(D)[:-1]
 
 
 def relax(inst: UGInstance, D: int) -> Relaxation:
@@ -957,34 +962,29 @@ def solve(relaxation: Relaxation, seed: int = 0) -> SolvedPE:
 # validation
 
 
-def moment_matrix(pe: PseudoExpectation, half_degree: Optional[int] = None,
-                  side_cap: int = 1800) -> tuple[np.ndarray, list[Monomial]]:
-    """Full moment matrix over canonical monomials (all labels) of degree <= D/2."""
-    d = half_degree if half_degree is not None else min(pe.degree // 2, 2)
-    basis = monomial_classes(pe.n_vertices, pe.q, d, False)
-    if len(basis) > side_cap:
-        raise ValueError(f"moment matrix side {len(basis)} exceeds cap {side_cap}")
-    return pe.flat_moments(2 * d)[product_table(pe.n_vertices, pe.q, d, False)], list(basis)
-
-
 _INVARIANTS = ("scaling_residual", "psd", "marginal_nonneg")
 
 
-def validate(pe: PseudoExpectation, side_cap: int = 1800) -> dict:
+def validate(pe: PseudoExpectation) -> dict:
     """Scaling pE[1] = 1, PSD of the moment matrix and nonnegativity of every
     pair marginal: the checks a table can fail.  Booleanity and partition need
     none, as _class_index merges X^2 = X before any read and a label-0 moment is
-    the degree below minus labels >= 1.  A product is checked on both marginals:
-    each entry reports the worse copy, and an invariant fails when it fails on
-    either.  rep["failed"] names the invariants that do not hold; rep["ok"] is
-    true when it is empty."""
+    the degree below minus labels >= 1.  That partition also makes the
+    full-label moment matrix A M A^T for a 0/+-1 matrix A, where M is the
+    reduced-basis matrix (labels >= 1), itself a principal submatrix of the
+    full one: one is PSD exactly when the other is, and M's smallest eigenvalue
+    is the larger.  So M, over degree <= min(D/2, 3) (D = 6 is the largest
+    relaxation solved), is the one matrix read.  A product is checked on both
+    marginals: each entry reports the worse copy, and an invariant fails when
+    it fails on either.  rep["failed"] names the invariants that do not hold;
+    rep["ok"] is true when it is empty."""
     rep: dict = {"mode": pe.mode, "degree": pe.degree}
     rep["scaling_residual"] = abs(pe.pE({ONE: 1.0}) - 1.0)
     failed = set() if rep["scaling_residual"] <= 1e-6 else {"scaling_residual"}
     targets = ([pe] if pe.mode == "single"
                else [pe.marginal_pe(0), pe.marginal_pe(1)])  # type: ignore[attr-defined]
     for target in targets:
-        part, part_failed = _single_copy_checks(target, side_cap)
+        part, part_failed = _single_copy_checks(target)
         failed |= part_failed
         for key, val in part.items():
             rep[key] = _worse(key, rep[key], val) if key in rep else val
@@ -994,32 +994,20 @@ def validate(pe: PseudoExpectation, side_cap: int = 1800) -> dict:
 
 
 def _worse(key: str, a, b):
-    """The worse of two copies' report entries; None (not measured) yields."""
-    if a is None or b is None:
-        return b if a is None else a
+    """The worse of two copies' report entries."""
     return min(a, b) if key in ("min_eig", "marginal_min_entry") else max(a, b)
 
 
-def _single_copy_checks(target: PseudoExpectation, side_cap: int) -> tuple[dict, set]:
+def _single_copy_checks(target: PseudoExpectation) -> tuple[dict, set]:
     """validate's checks on one single-copy pseudoexpectation: its report
     entries and the names of the invariants that fail on it."""
-    rep: dict = {}
-    M = None
-    try:
-        M = moment_matrix(target, side_cap=side_cap)[0]
-    except ValueError:
-        # full-label matrix too large; the reduced-basis matrix is a congruent
-        # restriction whose PSD-ness implies PSD-ness of the full matrix
-        if isinstance(target, SolvedPE):
-            h = target.degree // 2
-            M = target.reduced_moments(2 * h)[product_table(target.n_vertices, target.q, h, True)]
-            rep["moment_matrix_basis"] = "reduced"
-    rep["min_eig"] = None if M is None else float(np.linalg.eigvalsh(M).min())
-    rep["moment_matrix_side"] = None if M is None else len(M)
+    h = min(target.degree // 2, 3)
+    M = target.reduced_moments(2 * h)[product_table(target.n_vertices, target.q, h)]
+    rep = {"min_eig": float(np.linalg.eigvalsh(M).min()), "moment_matrix_side": len(M)}
     # every pair marginal, at every label pair
     pairs = target.label_moments(2)[2] if target.degree >= 2 else ()
     rep["marginal_min_entry"] = float(np.min(pairs, initial=0.0))
-    holds = {"psd": rep["min_eig"] is None or rep["min_eig"] >= -TOL_PSD,
+    holds = {"psd": rep["min_eig"] >= -TOL_PSD,
              "marginal_nonneg": rep["marginal_min_entry"] >= -1e-6}
     return rep, {name for name, ok in holds.items() if not ok}
 

@@ -15,7 +15,7 @@ def reduced_problem(inst, D):
     degree <= D/2, y in monomial_classes(n, q, D, True) order; at D = 2 one
     nonnegativity row per full-label pair X_{u,a} X_{v,b}, u < v."""
     n, q = inst.vertex_count, inst.q
-    T = sos.product_table(n, q, D // 2, True)
+    T = sos.product_table(n, q, D // 2)
     B = len(T)
     # basis pairs i <= j in row order, each off-diagonal one as (i, j) then (j, i)
     iu, ju = np.triu_indices(B)

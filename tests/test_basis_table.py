@@ -1,11 +1,13 @@
-"""The basis-product table against the pair loops it replaced.
+"""The basis-product table and validate's moment matrix against the pair loops
+they replaced.
 
-The reduced-basis relaxation (now the oracle in reduced_oracle.py),
-moment_matrix and validate's reduced fallback each used to multiply every
-pair of basis monomials in Python, and product_table itself did too before it
-ranked them with sos._class_index.  Those loops are kept here as reference
-oracles, and the table and the arrays built from it must equal theirs
-exactly, in both label bases.
+The reduced-basis relaxation (now the oracle in reduced_oracle.py) and
+validate's moment matrix each used to multiply every pair of basis monomials
+in Python, and product_table itself did too before it ranked them with
+sos._class_index.  Those loops are kept here as reference oracles, and the
+table and the arrays built from it must equal theirs exactly.  validate reads
+one matrix for every table kind, the reduced basis (labels >= 1) at the
+table's own half-degree, capped at 3: pE[m m'] over reduced monomials m, m'.
 """
 
 import itertools
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 from ugjohnson import johnson, sos, ug_core
-from ugjohnson.monomials import ONE, ZERO, mul, var
+from ugjohnson.monomials import ONE, ZERO, EventPoly, mul, var
 
 from label0_oracle import expand_label0
 from reduced_oracle import reduced_problem
@@ -86,10 +88,9 @@ def reference_problem(inst, D):
         "G": G, "g0": g0}
 
 
-def reference_table(n, q, h, reduced):
-    lo = 1 if reduced else 0
-    basis = _monomials(n, q, h, lo)
-    index = {m: k for k, m in enumerate(_monomials(n, q, 2 * h, lo))}
+def reference_table(n, q, h):
+    basis = _monomials(n, q, h, 1)
+    index = {m: k for k, m in enumerate(_monomials(n, q, 2 * h, 1))}
     T = np.empty((len(basis), len(basis)), dtype=np.int64)
     for i, j in itertools.combinations_with_replacement(range(len(basis)), 2):
         pm = mul(basis[i], basis[j])
@@ -172,51 +173,90 @@ def test_relax_builds_no_degree_D_classes(monkeypatch):
     assert 4 not in seen and reduced_problem(inst, 4).n_classes == 355_377
 
 
+def _reduced_reference(pe):
+    """The smallest eigenvalue and side of the reduced pair-loop matrix of a
+    single copy at half-degree min(D/2, 3), from its scalar moments."""
+    h = min(pe.degree // 2, 3)
+    M = reference_matrix(_monomials(pe.n_vertices, pe.q, h, 1), pe.moment)
+    return float(np.linalg.eigvalsh(M).min()), len(M)
+
+
 @pytest.mark.parametrize("n,q,D", CASES, ids=IDS)
 def test_moment_matrix_matches_pair_loop(n, q, D):
+    # arbitrary full-label moments: validate reads them at labels >= 1 through
+    # the base class's reduced_moments
     pe = _Lookup(n * (n - 1) // 2, q, D, seed=n + q + D)
-    M, basis = sos.moment_matrix(pe)
-    assert basis == _monomials(pe.n_vertices, q, D // 2, 0)
-    _assert_same(M, reference_matrix(basis, pe.moment))
+    rep = sos.validate(pe)
+    assert (rep["min_eig"], rep["moment_matrix_side"]) == _reduced_reference(pe)
 
 
 @pytest.mark.parametrize("n,q,D", CASES, ids=IDS)
 def test_reduced_fallback_matches_pair_loop(n, q, D):
+    # a SolvedPE's matrix is the prefix of y through the reduced product table
     nv = n * (n - 1) // 2
     pe = _solved_like(nv, q, D, seed=nv + q + D)
-    rep = sos.validate(pe, side_cap=1)  # every full-label matrix is over the cap
+    rep = sos.validate(pe)
     M = reference_matrix(_monomials(nv, q, D // 2, 1), pe.table.__getitem__)
-    assert rep["moment_matrix_basis"] == "reduced"
     assert rep["moment_matrix_side"] == len(M)
     assert rep["min_eig"] == float(np.linalg.eigvalsh(M).min())
 
 
+def _kinds():
+    """One table of every kind on 6 vertices, q = 3: each a factory, so that a
+    failing build names its case."""
+    n, q = 6, 3
+    solved = {D: _solved_like(n, q, D, seed=D) for D in (2, 4, 6)}
+    x = np.random.default_rng(3).integers(0, q, (3, n))
+    mix = sos.mixture([(sos.from_assignment(xi, q), w) for xi, w in zip(x, (0.5, 0.3, 0.2))])
+    event = EventPoly({mul(var(0, 1), var(1, 2)): 1.0})
+    return {
+        "solved-D2": lambda: solved[2],
+        "solved-D4": lambda: solved[4],
+        "solved-D6": lambda: solved[6],
+        "product": lambda: sos.ProductPE(solved[4], solved[6]),
+        "conditioned": lambda: sos.condition(solved[6], event),
+        "shift-symmetrized": lambda: sos.shift_symmetrize(mix),
+        "mixture": lambda: mix,
+    }
+
+
+KINDS = _kinds()
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_validate_reads_the_reduced_matrix_of_every_table_kind(kind):
+    pe = KINDS[kind]()
+    rep = sos.validate(pe)
+    copies = [pe] if pe.mode == "single" else [pe.marginal_pe(c) for c in (0, 1)]
+    refs = [_reduced_reference(c) for c in copies]
+    assert isinstance(rep["min_eig"], float)
+    assert rep["min_eig"] == min(eig for eig, _ in refs)
+    assert rep["moment_matrix_side"] == max(side for _, side in refs)
+
+
 def test_product_table_is_read_only_and_cached():
-    T = sos.product_table(6, 3, 2, True)
-    assert T is sos.product_table(6, 3, 2, True)
+    T = sos.product_table(6, 3, 2)
+    assert T is sos.product_table(6, 3, 2)
     with pytest.raises(ValueError):
         T[0, 0] = 1
     assert T[0, 0] == 0 and T[1, 2] == -1  # X_{0,1} X_{0,2} annihilates
 
 
 # J(5,2,1) q=2 and J(4,2,1) q=3 at half-degree 3 (their degree-6 relaxations),
-# both bases, and J(8,2,1) q=2 at half-degree 2, reduced (the warm-start table)
-TABLES = [(10, 2, 3, True), (10, 2, 3, False), (6, 3, 3, True), (6, 3, 3, False),
-          (28, 2, 2, True)]
+# and J(8,2,1) q=2 at half-degree 2 (the warm-start table)
+TABLES = [(10, 2, 3), (6, 3, 3), (28, 2, 2)]
 
 
-@pytest.mark.parametrize("n,q,h,reduced", TABLES,
-                         ids=[f"n{n}-q{q}-h{h}-{'R' if r else 'F'}" for n, q, h, r in TABLES])
-def test_product_table_matches_pair_loop(n, q, h, reduced):
-    _assert_same(sos.product_table(n, q, h, reduced), reference_table(n, q, h, reduced))
+@pytest.mark.parametrize("n,q,h", TABLES, ids=[f"n{n}-q{q}-h{h}-R" for n, q, h in TABLES])
+def test_product_table_matches_pair_loop(n, q, h):
+    _assert_same(sos.product_table(n, q, h), reference_table(n, q, h))
 
 
 def test_product_table_multiplies_no_monomials(monkeypatch):
     def refuse(*args):
         raise AssertionError("product_table called the monomial algebra")
-    want = {reduced: reference_table(6, 3, 2, reduced) for reduced in (True, False)}
+    want = reference_table(6, 3, 2)
     sos.product_table.cache_clear()
     monkeypatch.setattr(sos, "mul", refuse)
     monkeypatch.setattr(sos.mon, "canon", refuse)  # every path into the algebra
-    for reduced in (True, False):
-        _assert_same(sos.product_table(6, 3, 2, reduced), want[reduced])
+    _assert_same(sos.product_table(6, 3, 2), want)

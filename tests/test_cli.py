@@ -111,17 +111,26 @@ def test_pe_file_round_trip_is_bitwise(solved_file):
 
 
 @pytest.mark.parametrize("change, named", [
-    (lambda t: t.pop("X:0:1|X:1:1"), "missing key X:0:1|X:1:1"),
-    (lambda t: t.update({"X:3:0": 0.7}), "unexpected key X:3:0"),
-], ids=["missing", "unexpected"])
+    (lambda d: d["table"].pop("X:0:1|X:1:1"), "missing key X:0:1|X:1:1"),
+    (lambda d: d["table"].update({"X:3:0": 0.7}), "unexpected key X:3:0"),
+    (lambda d: d.pop("header"), "missing key header"),
+    (lambda d: d.pop("table"), "missing key table"),
+    *[(lambda d, k=k: d["header"].pop(k), f"missing key header.{k}")
+      for k in ("n", "q", "degree")],
+    (None, "No such file or directory"),  # no file is written
+], ids=["missing", "unexpected", "no-header", "no-table", "no-n", "no-q", "no-degree",
+        "no-file"])
 def test_verify_pe_names_a_missing_or_unexpected_key(solved_file, tmp_path, capsys,
                                                       change, named):
+    # bad input exits 2 with one line; 1 means the table failed validation
     d = json.loads(solved_file[1].read_text())
-    change(d["table"])
     bad = tmp_path / "pe_bad.json"
-    bad.write_text(json.dumps(d))
+    if change is not None:
+        change(d)
+        bad.write_text(json.dumps(d))
     assert main(["verify", "--suite", "pe", "--pe-file", str(bad)]) == 2
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert named in err and err.count("\n") == 1
 
 
 def test_config_file_overrides(tmp_path):

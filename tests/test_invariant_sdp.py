@@ -149,7 +149,7 @@ def test_block_min_eig_has_the_sign_of_the_reduced_matrix(q):
     pd = (real_unknowns(fourier_moments(y, n, q, D)[index >= 0], conj) + prob.uniform_y) / 2
     bad = pd.copy()
     bad[1] += 3.0  # the first degree-2 coordinate: no degree-1 one has charge 0
-    T = sos.product_table(n, q, D // 2, True)
+    T = sos.product_table(n, q, D // 2)
     for table, sign in ((pd, 1.0), (bad, -1.0)):
         blocks = np.linalg.eigvalsh(prob.assemble(table)).min()
         reduced = sos.SolvedPE(n, q, D, rel.reduced_table(table)).reduced_moments(D)[T]

@@ -10,7 +10,7 @@ from ugjohnson import johnson, sos, ug_core
 from ugjohnson.monomials import ONE, ZERO, EventPoly, canon, monomial_name, mul, poly_mul, var
 from ugjohnson.sdp import SDPResult
 from ugjohnson.sos import (DegreeExhausted, NearZeroEvent, condition,
-                           from_assignment, mixture, moment_matrix, product,
+                           from_assignment, mixture, product,
                            relax, shift_symmetrize, solve, validate, z_poly)
 
 import poly_oracle
@@ -442,9 +442,9 @@ def test_degree2_pair_nonneg_constraints():
 
 def test_moment_matrix_psd_integral():
     x = np.array([0, 1, 0, 1, 0, 1])
-    pe = from_assignment(x, 2)
-    M, basis = moment_matrix(pe, half_degree=2)
-    assert np.linalg.eigvalsh(M).min() >= -1e-12
+    rep = validate(from_assignment(x, 2))
+    assert rep["ok"] and rep["min_eig"] >= -1e-12
+    assert rep["moment_matrix_side"] == 1 + 6 + 15 + 20  # reduced, half-degree 3
 
 
 @given(st.integers(0, 10 ** 6))
@@ -462,14 +462,45 @@ def test_product_val_intersection_property(seed):
     assert lhs >= pe.value(inst) ** 2 - 1e-9
 
 
-def test_validate_reduced_fallback_for_large_matrices():
+def test_validate_reads_the_reduced_matrix_of_a_large_table():
     g = johnson.build(6, 2, 0.5)
     inst, A = ug_core.plant(g, 3, ug_core.PlantedSpec(0.4, 9))
     pe = solve(relax(inst, 4))
-    rep = validate(pe, side_cap=20)  # force the full matrix over the cap
-    assert rep["moment_matrix_basis"] == "reduced"
-    assert rep["min_eig"] is not None and rep["min_eig"] >= -sos.TOL_PSD
+    rep = validate(pe)
+    assert rep["moment_matrix_side"] == 1 + 15 * 2 + 105 * 4
+    assert rep["min_eig"] >= -sos.TOL_PSD
     assert rep["ok"]
+
+
+def _raised(y, n, q, k):
+    """y with its first class of degree k raised by 1."""
+    y = np.array(y)
+    y[sos._reduced_count(n, q, k - 1)] += 1.0
+    return y
+
+
+def test_validate_reads_a_degree_6_table_at_degree_6():
+    # the raised class enters the moment matrix only at half-degree 3
+    n, q, D = 6, 3, 6
+    good = sos.SolvedPE(n, q, D, sos.uniform_reduced_table(n, q, D))
+    bad = sos.SolvedPE(n, q, D, _raised(good.y, n, q, 6))
+    assert validate(good)["ok"] and validate(good)["moment_matrix_side"] == 233
+    rep = validate(bad)
+    assert "psd" in rep["failed"] and rep["min_eig"] < -0.5, rep
+
+
+def test_validate_measures_every_copy_of_a_large_table():
+    # n = 21 (J(7,2,1)), q = 3, D = 4: a full-label side of 1954 is no reason
+    # to leave a wrapped copy unmeasured
+    n, q, D = 21, 3, 4
+    good = sos.SolvedPE(n, q, D, sos.uniform_reduced_table(n, q, D))
+    bad = sos.SolvedPE(n, q, D, _raised(good.y, n, q, 4))
+    alone = validate(bad)
+    assert "psd" in alone["failed"], alone
+    for wrapped in (sos.ProductPE(bad, good), shift_symmetrize(bad)):
+        rep = validate(wrapped)
+        assert "psd" in rep["failed"] and rep["min_eig"] < -sos.TOL_PSD, rep
+        assert rep["moment_matrix_side"] == 1 + 21 * 2 + 210 * 4
 
 
 # --------------------------------------------------------------------------
