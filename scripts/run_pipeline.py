@@ -44,6 +44,7 @@ def main():
               f"s={rec['chosen']['s']} event={rec['chosen']['event']} "
               f"value={rec['value']:.4f} "
               f"phi={rec['phi_conditioned']['phi']:.4f} mi={mi} "
+              f"rt_stop={rec['rt_reduce']['stop']} "
               f"zeta={rec['tv_check']['fraction_exceeding']:.3f} "
               f"solver={rec['solver']['method']} source={rec['solver']['source']}")
         print(f"    rounding guarantee {rec['rounding_guarantee']['guarantee']:.4f} "

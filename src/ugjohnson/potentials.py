@@ -239,15 +239,26 @@ def edge_cover_decompose(g: JohnsonGraph, inst: UGInstance, x: np.ndarray,
 # pseudoexpectation-side potentials
 
 
+def shift_diagonal(J: np.ndarray, k: int) -> np.ndarray:
+    """D[..., s, l] = J[..., L_l + s, L_l] of joints J[..., a_1..a_k, c_1..c_k]
+    over k vertices V per copy, L_l the l-th label vector (C order, labels mod
+    q): D summed over l is pE[Z_{V_1,s} ... Z_{V_k,s}]."""
+    q = J.shape[-1]
+    L = np.indices((q,) * k).reshape(k, 1, -1)
+    rows = np.ravel_multi_index((L + np.arange(q)[:, None]) % q, (q,) * k)
+    return J.reshape(J.shape[:-2 * k] + (q ** k,) * 2)[..., rows, np.arange(q ** k)]
+
+
+def z_pair_moments(prod: ProductPE, S: Sequence[int]) -> np.ndarray:
+    """Z2[i, j, s] = pE[Z_{S_i,s} Z_{S_j,s}] from the product's pair joints; the
+    diagonal Z2[i, i, s] is pE[Z_{S_i,s}]."""
+    return shift_diagonal(prod.pair_joints(S), 2).sum(-1)
+
+
 def phi_potential(prod: ProductPE, scope: Sequence[int]) -> float:
     """Phi = sum_s pE[delta(G_s)^2] with the density taken over the scope (the
-    unweighted parts G_s), read off the product's pair joints:
-    (1/|S|^2) sum_{s,a,b} J[:, :, a+s, b+s, a, b]."""
-    J = prod.pair_joints(scope)
-    a = np.arange(prod.q)
-    acc = sum(J[:, :, (a[:, None] + s) % prod.q, (a + s) % prod.q, a[:, None], a].sum()
-              for s in range(prod.q)) / len(scope) ** 2
-    return float(acc)
+    unweighted parts G_s): sum_{i,j,s} Z2[i, j, s] / |S|^2."""
+    return float(z_pair_moments(prod, scope).sum() / len(scope) ** 2)
 
 
 def psi_potential(pe: PseudoExpectation, inst: UGInstance,

@@ -5,6 +5,8 @@ Where the analysis conditions on degree-heavy polynomial events, the
 implementation conditions on the closest within-budget surrogate (density
 polynomials built from Z-monomials), records the surrogate, and verifies the
 downstream inequalities with measured rather than asymptotic constants.
+The event search reads every candidate's numbers as Z-moments of the
+product's joints and builds a polynomial only for the event it chooses.
 All tie-breaking is lexicographic on canonical indices; every run is
 deterministic given (instance, config, seeds).
 """
@@ -22,10 +24,10 @@ import numpy as np
 from . import potentials as pot
 from . import sos
 from .johnson import Subcube
-from .monomials import EventPoly, ONE, Poly, mul, poly_add, poly_mul, poly_sum, var
+from .monomials import EventPoly, mul, poly_mul, var
 from .potentials import LocalDistributionCollection, pairwise_mi, tv_distance
 from .sos import (DegreeExhausted, NearZeroEvent, ProductPE, PseudoExpectation,
-                  condition, density_poly, product, shift_symmetrize, z_poly)
+                  condition, density_poly, product, shift_symmetrize)
 from .ug_core import (UGInstance, edges_inside, randomize_edges, satisfied_mask,
                       value as ug_value)
 
@@ -176,87 +178,79 @@ def _scoped_value(inst: UGInstance, x: np.ndarray, within: Optional[set]) -> flo
 # density events over subcubes
 
 
-def both_sat_density_poly(inst: UGInstance, sub_ids: Sequence[int], s: int) -> Poly:
-    """E_{u in J|_a}[G_s(u) val^a_u(X and X')], degree (3,3)."""
-    within = set(int(u) for u in sub_ids)
-    w = 1.0 / len(sub_ids)
-    return poly_sum((w, poly_mul(z_poly(int(u), s, inst.q),
-                                 sos.vertex_val_and_poly(inst, int(u), within)))
-                    for u in sub_ids)
-
-
 def find_event_subcube(inst: UGInstance, prod: ProductPE, cfg: RoundingConfig
                        ) -> tuple[tuple, int, EventPoly, dict]:
     """Enumerate restrictions |a| <= r and shifts s; score each candidate event
     and return the argmax (ties broken lexicographically on (|a|, a, s)).
 
-    close-to-1 regime: event = density of G_s in J|_a (a within-budget stand-in
-    for the step-thresholded density event); score = pE[P (delta - thr)] with
-    thr = thr_scale * exp(-r).  low-completeness: score from the both-satisfied
-    density with the maximality filter on proper sub-restrictions.
+    close-to-1 regime: event = density delta of G_s in J|_a (a within-budget
+    stand-in for the step-thresholded density event); score = pE[P (delta -
+    thr)] with thr = thr_scale * exp(-r).  low-completeness: score from the
+    both-satisfied density with the maximality filter on proper
+    sub-restrictions.  Every number is a mean of Z-moments of the product's
+    joints; only the chosen event is built as a polynomial.
     """
     g = inst.graph_tag
     if g is None:
         raise ValueError("subcube search needs a Johnson graph tag")
-    q = inst.q
+    q, low = inst.q, cfg.regime == "low_completeness"
+    eps_sched = pot.default_eps_schedule(max(cfg.r, 1), cfg.c if low else 1.0)
+    Z2 = pot.z_pair_moments(prod, range(inst.vertex_count))
+    ids = {a: Subcube(g, a).vertex_ids() if a else list(range(g.num_vertices))
+           for j in range(cfg.r + 1) for a in itertools.combinations(range(g.n), j)}
+    dens = {a: Z2.diagonal()[:, S].sum(1) / len(S) for a, S in ids.items()}  # pE[delta] per s
     rows = []
-    best = None
-    side_budget = min(prod.side_degree(0), prod.side_degree(1))
-    eps_sched = pot.default_eps_schedule(max(cfg.r, 1),
-                                         cfg.c if cfg.regime == "low_completeness" else 1.0)
-    for j in range(cfg.r + 1):
-        for a in itertools.combinations(range(g.n), j):
-            sub_ids = Subcube(g, a).vertex_ids() if j > 0 else list(range(g.num_vertices))
-            for s in range(q):
-                dens = density_poly(inst, sub_ids, s)
-                if cfg.regime == "close_to_1":
-                    thr = cfg.thr_scale * np.exp(-cfg.r)
-                    if side_budget >= 4 and len(dens) ** 2 <= 2500:
-                        # the sharper soft-threshold event; its square stays
-                        # affordable as a conditioning weight only at this size
-                        event_poly = poly_mul(dens, dens)
-                        event_kind = "density_squared"
-                    else:
-                        event_poly, event_kind = dens, "density"
-                    score_poly = poly_mul(event_poly if side_budget >= 4 else dens,
-                                          poly_add(dens, {ONE: -thr}))
-                    floor = THETA * sqrt(max(cfg.eps, 0.0)) / (
-                        q * g.ell ** j * np.exp(cfg.r))
-                else:
-                    thr = THETA * cfg.c ** 2 * eps_sched[j] ** 2 / (20 * max(cfg.r, 1))
-                    event_poly, event_kind = dens, "density"
-                    inner = both_sat_density_poly(inst, sub_ids, s)
-                    score_poly = poly_mul(dens, poly_add(inner, {ONE: -thr}))
-                    floor = THETA * cfg.c ** 2 / (8 * max(cfg.r, 1) * g.ell ** j * q)
-                # maximality filter: skip if G_s already dense in a proper sub-restriction
-                maximal = True
-                if j > 0:
-                    for jj in range(j):
-                        for b in itertools.combinations(a, jj):
-                            bids = (Subcube(g, b).vertex_ids() if jj > 0
-                                    else list(range(g.num_vertices)))
-                            if prod.pE(density_poly(inst, bids, s)) >= eps_sched[jj]:
-                                maximal = False
-                                break
-                        if not maximal:
-                            break
-                score = prod.pE(score_poly) if maximal else -np.inf
-                p_event = prod.pE(event_poly)
-                rows.append({"a": list(a), "s": s, "score": score, "p_event": p_event,
-                             "floor": floor, "maximal": maximal, "event": event_kind})
-                key = (-np.round(score, 12), j, a, s)
-                if maximal and (best is None or key < best[0]):
-                    best = (key, a, s, event_poly, event_kind, score, p_event, floor)
-    if best is None or best[5] <= 0.0:
+    for a, S in ids.items():
+        j = len(a)
+        # maximality filter: not maximal if G_s is already dense in a proper sub-restriction
+        maximal = np.ones(q, dtype=bool)
+        for b in itertools.chain.from_iterable(itertools.combinations(a, jj) for jj in range(j)):
+            maximal &= dens[b] < eps_sched[len(b)]
+        kind, p_event = "density", dens[a]
+        if low:
+            thr = THETA * cfg.c ** 2 * eps_sched[j] ** 2 / (20 * max(cfg.r, 1))
+            score = _both_sat_moment(inst, prod, S) - thr * p_event
+            floor = THETA * cfg.c ** 2 / (8 * max(cfg.r, 1) * g.ell ** j * q)
+        else:
+            thr = cfg.thr_scale * np.exp(-cfg.r)
+            sq = Z2[np.ix_(S, S)].sum((0, 1)) / len(S) ** 2  # pE[delta^2]
+            score = sq - thr * p_event
+            if prod.degree >= 4 and (len(S) * q) ** 2 <= 2500:
+                # the sharper soft-threshold event; its square stays
+                # affordable as a conditioning weight only at this size
+                V = list(itertools.product(S, repeat=3))
+                cube = pot.shift_diagonal(prod.joint(V, V), 3).sum((0, 2)) / len(S) ** 3
+                kind, p_event, score = "density_squared", sq, cube - thr * sq
+            floor = float(THETA * sqrt(max(cfg.eps, 0.0)) / (q * g.ell ** j * np.exp(cfg.r)))
+        rows += [{"a": list(a), "s": s, "score": float(score[s]) if maximal[s] else -np.inf,
+                  "p_event": float(p_event[s]), "floor": floor, "maximal": bool(maximal[s]),
+                  "event": kind} for s in range(q)]
+    best = min((r for r in rows if r["maximal"]), default=None,
+               key=lambda r: (-np.round(r["score"], 12), len(r["a"]), r["a"], r["s"]))
+    if best is None or best["score"] <= 0.0:
         raise NoDenseSubcube("no candidate scored above zero")
-    _, a, s, event_poly, event_kind, score, p_event, floor = best
-    diag = {"rows": rows, "chosen": {"a": list(a), "s": s, "score": score,
-                                     "p_event": p_event, "floor": floor,
-                                     "floor_ok": p_event >= floor - 1e-12,
-                                     "event": event_kind}}
-    ev = EventPoly(event_poly, provenance="zero_one_product",
-                   description=f"{event_kind}(G_{s}|{list(a)})")
-    return a, s, ev, diag
+    a, s = tuple(best["a"]), best["s"]
+    event_poly = density_poly(inst, ids[a], s)
+    if best["event"] == "density_squared":
+        event_poly = poly_mul(event_poly, event_poly)
+    chosen = {k: v for k, v in best.items() if k != "maximal"}
+    chosen["floor_ok"] = best["p_event"] >= best["floor"] - 1e-12
+    ev = EventPoly(event_poly, description=f"{best['event']}(G_{s}|{list(a)})")
+    return a, s, ev, {"rows": rows, "chosen": chosen}
+
+
+def _both_sat_moment(inst: UGInstance, prod: ProductPE, S: Sequence[int]) -> np.ndarray:
+    """pE[delta(G_s) E_{u in S}[Z_{u,s} val^S_u(X and X')]] per shift s from the
+    joints of (v, u, w), v in S and (u, w) an edge inside S: with Z_{u,s} and the
+    edge satisfied on both copies, Z_{w,s} holds too."""
+    q, L = inst.q, np.indices((inst.q,) * 3).reshape(3, -1)  # labels of (v, u, w)
+    terms = [(u, x + y - u, c * ((L[1] - L[2] - (b if u == x else -b)) % q == 0))
+             for u in S for k, c in inst.scoped_edges(u, set(S)) for x, y, b in [inst.edges[k]]]
+    if not terms:
+        return np.zeros(q)
+    V = [(v, u, w) for v in S for u, w, _ in terms]
+    D = pot.shift_diagonal(prod.joint(V, V), 3).reshape(len(S), len(terms), q, -1)
+    return np.einsum("vesl,el->s", D, np.asarray([m for *_, m in terms])) / len(S) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +264,10 @@ def rt_reduce(pe: PseudoExpectation, S: Sequence[int], E: EventPoly,
 
     Repeatedly (deterministic seeded order) condition one copy on a vertex-pair
     value tuple, accepting a tuple iff the copy's average pairwise MI drops and
-    the event keeps pE[E] >= p_floor / 2; stop at tau or on budget.  The
-    record's mi_pairs counts the disjoint pairs each average runs over; with
-    none (|S| < 4) nothing is measured, and tau is not reached.  The MI
+    the event keeps pE[E] >= p_floor / 2; the record's stop says why it ended:
+    "tau", "degree" (a pair would leave the copy below degree 4), "no_gain" or
+    "budget".  Its mi_pairs counts the disjoint pairs each average runs over;
+    with none (|S| < 4) nothing is measured, and tau is not reached.  The MI
     reads four-vertex joints of one copy, so a copy of degree < 4 raises
     DegreeExhausted.
     """
@@ -291,15 +286,15 @@ def rt_reduce(pe: PseudoExpectation, S: Sequence[int], E: EventPoly,
     mis = [st.average for st in first]
     mi_pairs = len(first[0].values)
     rng = np.random.default_rng(cfg.seed + 1)
-    budget_hit = False
-    for step in range(cfg.tuple_budget):
+    for _ in range(cfg.tuple_budget):
         side = 0 if mis[0] >= mis[1] else 1
         if max(mis) <= cfg.tau:
+            stop = "tau"
             break
         if mu[side].degree - 2 < 4:
             # conditioning on a pair would leave no headroom to even measure
             # the pairwise mutual information afterwards
-            budget_hit = True
+            stop = "degree"
             break
         # candidate tuples: seeded vertex pair order, values by marginal mass
         pairs = list(itertools.combinations(S, 2))
@@ -338,13 +333,15 @@ def rt_reduce(pe: PseudoExpectation, S: Sequence[int], E: EventPoly,
             if accepted:
                 break
         if not accepted:
-            budget_hit = max(mis) > cfg.tau
+            stop = "no_gain"
             break
+    else:
+        stop = "tau" if max(mis) <= cfg.tau else "budget"
     p_final = ProductPE(mu[0], mu[1]).pE(E.poly)
     record = {"tuples": chosen, "mi_x": mis[0], "mi_xp": mis[1], "mi_pairs": mi_pairs,
               "p_event_before": p0, "p_event_after": p_final,
               "p_floor": p_floor, "floor_kept": p_final >= p_floor / 2 - 1e-12,
-              "budget_exhausted": budget_hit, "tau": cfg.tau,
+              "stop": stop, "budget_exhausted": stop == "budget", "tau": cfg.tau,
               "reached_tau": mi_pairs > 0 and max(mis) <= cfg.tau}
     return mu[0], mu[1], record
 
@@ -395,29 +392,23 @@ def subround(inst: UGInstance, pe: PseudoExpectation, a: Optional[tuple],
     pe_sym = shift_symmetrize(pe)
     prod0 = product(pe_sym)
     try:
-        if a is None:
-            a, s, P, diag = find_event_subcube(inst, prod0, cfg)
-        else:
-            sub_ids = Subcube(g, a).vertex_ids() if len(a) else list(range(g.num_vertices))
-            dens = density_poly(inst, sub_ids, 0)
-            P = EventPoly(dens, description=f"density(G_0|{list(a)})")
-            s, diag = 0, {"chosen": {"a": list(a), "s": 0, "given": True}}
+        a, _, P, diag = find_event_subcube(inst, prod0, cfg) if a is None else (a, 0, None, None)
     except NoDenseSubcube as err:
         record["no_dense_subcube"] = str(err)
         x = np.zeros(inst.vertex_count, dtype=np.int64)
         record["value"] = ug_value(inst, x)
         record["subcube"] = []
         return x, record
-    sub_ids = Subcube(g, a).vertex_ids() if len(a) else list(range(g.num_vertices))
-    record["subcube"] = [int(u) for u in sub_ids]
+    S = Subcube(g, a).vertex_ids() if len(a) else list(range(g.num_vertices))
+    if P is None:  # the given subcube's G_0 density, its mass read as the search reads it
+        P = EventPoly(density_poly(inst, S, 0), description=f"density(G_0|{list(a)})")
+        p_event = float(np.trace(pot.z_pair_moments(prod0, S)[..., 0]) / len(S))
+        diag = {"chosen": {"a": list(a), "s": 0, "given": True, "p_event": p_event}}
+    record["subcube"] = [int(u) for u in S]
     record["chosen"] = diag["chosen"]
-    S = sub_ids
     # the floor handed to the reduction is the measured event mass (the regime
     # floor is recorded separately in the search diagnostics)
-    p_measured = diag["chosen"].get("p_event", None)
-    if p_measured is None:
-        p_measured = prod0.pE(P.poly)
-    p_floor = max(float(p_measured) * (1 - 1e-9), sos.FLOOR_COND)
+    p_floor = max(diag["chosen"]["p_event"] * (1 - 1e-9), sos.FLOOR_COND)
 
     mu1, mu2, rt_rec = rt_reduce(pe_sym, S, P, cfg, p_floor)
     record["rt_reduce"] = rt_rec

@@ -149,12 +149,6 @@ def val_poly(inst: UGInstance, copy: int = 0) -> Poly:
                     for k, w in enumerate(inst.weight_array().tolist()))
 
 
-def vertex_val_and_poly(inst: UGInstance, u: int, within: Optional[set] = None) -> Poly:
-    """val_u(X and X') over the edges of u inside `within`, degree (2,2)."""
-    return poly_sum((c, poly_mul(edge_sat_poly(inst, k, 0), edge_sat_poly(inst, k, 1)))
-                    for k, c in inst.scoped_edges(u, within))
-
-
 # ---------------------------------------------------------------------------
 # concrete pseudoexpectations
 

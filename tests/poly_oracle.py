@@ -1,5 +1,7 @@
 """The program polynomials as they were built before `sos.shift_poly`, one
-hand-written loop each, kept as reference oracles, with the q n^2 loop of
+hand-written loop each, kept as reference oracles (the both-copies vertex
+value and the both-satisfied density among them, which the event search
+now reads from triple joints), with the q n^2 loop of
 Z-monomial products that evaluated Phi on the moment path, the list of
 disjoint pair-of-pairs that `pairwise_mi` drew from, a polynomial's value
 at an integral assignment (pair), and the shift-variable identities as exact
@@ -68,6 +70,17 @@ def vertex_val_and_poly(inst, u, within=None):
     for k, c in inst.scoped_edges(u, within):
         term = poly_mul(edge_sat_poly(inst, k, copy=0), edge_sat_poly(inst, k, copy=1))
         out = poly_add(out, poly_scale(term, c))
+    return out
+
+
+def both_sat_density_poly(inst, sub_ids, s):
+    """E_{u in J|_a}[G_s(u) val^a_u(X and X')], degree (3,3)."""
+    within = set(int(u) for u in sub_ids)
+    w = 1.0 / len(sub_ids)
+    out = {}
+    for u in sub_ids:
+        term = poly_mul(z_poly(int(u), s, inst.q), vertex_val_and_poly(inst, int(u), within))
+        out = poly_add(out, poly_scale(term, w))
     return out
 
 

@@ -15,9 +15,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ugjohnson import johnson, sos, ug_core
 from ugjohnson.monomials import ONE, EventPoly, poly_add, poly_mul, var
-from ugjohnson.rounding import both_sat_density_poly, density_poly
+from ugjohnson.sos import density_poly
 
-from poly_oracle import evaluate
+from poly_oracle import both_sat_density_poly, evaluate
 
 
 def ref_support_pairs(prod):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,29 @@ def test_rt_reduce_on_a_degree_2_table_raises(planted421):
         rt_reduce(pe, range(6), EventPoly({ONE: 1.0}), RoundingConfig(degree=2), 1.0)
 
 
+def test_rt_reduce_at_degree_4_stops_on_the_degree_not_the_budget(planted421):
+    # conditioning a degree-4 copy on a pair would leave it unable to give its
+    # four-vertex MI, so no tuple is tried and no budget is spent
+    g, inst, _ = planted421
+    pe = sos.shift_symmetrize(sos.solve(sos.relax(inst, 4)))
+    cfg = RoundingConfig.for_instance(inst, eps=0.0, degree=4)
+    _, _, rec = rt_reduce(pe, range(6), EventPoly({ONE: 1.0}), cfg, 1.0)
+    assert max(rec["mi_x"], rec["mi_xp"]) > cfg.tau and rec["tuples"] == []
+    assert rec["stop"] == "degree" and not rec["budget_exhausted"]
+
+
+def test_rt_reduce_that_spends_its_budget_says_so():
+    # degree 6 with one tuple allowed: one copy is conditioned, and the other
+    # keeps its 1 bit of pairwise MI when the budget runs out
+    g = johnson.build(5, 2, 0.5)
+    inst, A = ug_core.plant(g, 2, ug_core.PlantedSpec(0.3, 16))
+    cfg = RoundingConfig.for_instance(inst, eps=0.3, degree=6, tuple_budget=1)
+    _, rec = subround(inst, sos.solve(sos.relax(inst, 6)), None, cfg)
+    rt = rec["rt_reduce"]
+    assert len(rt["tuples"]) == 1 and max(rt["mi_x"], rt["mi_xp"]) > cfg.tau
+    assert rt["stop"] == "budget" and rt["budget_exhausted"]
+
+
 # --------------------------------------------------------------------------
 # find_event_subcube
 
@@ -232,6 +257,10 @@ def test_subround_given_a_matches_condition_and_round(planted421):
     pe_sym = sos.shift_symmetrize(pe)
     x2, _ = condition_and_round(pe_sym, inst)
     assert ug_core.value(inst, x1) == ug_core.value(inst, x2)
+    # the given event's mass is read from the Z-moments, as the search reads it
+    p = sos.product(pe_sym).pE(density_poly(inst, range(6), 0))
+    assert rec["chosen"]["p_event"] == pytest.approx(p, abs=1e-12)
+    assert rec["rt_reduce"]["p_floor"] == pytest.approx(p * (1 - 1e-9), abs=1e-12)
 
 
 def test_subround_adversarial_no_crash():
@@ -271,7 +300,7 @@ def test_main_algorithm_at_degree_6_runs_the_reduction():
     assert trace.records
     for rec in trace.records:
         rt = rec["rt_reduce"]
-        assert len(rt["tuples"]) >= 1 and not rt["budget_exhausted"]
+        assert len(rt["tuples"]) >= 1 and rt["stop"] == "tau" and not rt["budget_exhausted"]
         assert rec["tv_check"]["tau_bar"] == max(rt["mi_x"], rt["mi_xp"]) < 1e-3
         assert set(rec["phi_before"]) == set(rec["phi_conditioned"]) == {"phi"}
 
@@ -284,6 +313,8 @@ def test_main_algorithm_planted(planted421):
     assert len(trace.records) == 1  # whole-graph subcube covers everything
     rec = trace.records[0]
     assert rec["disjoint_ok"] and rec["value_drop"]["ok"] and rec["chernoff"]["ok"]
+    # the close-to-1 floor is a Python float, so its flag serialises as a boolean
+    assert json.loads(trace.to_json())["records"][0]["chosen"]["floor_ok"] is True
 
 
 def test_subround_checks_say_whether_they_could_fail(planted421):

@@ -11,16 +11,17 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("script,args", [
-    ("run_pipeline.py", ["--n", "5", "--l", "2", "--q", "2", "--eps", "0"]),
-    ("structure_report.py", ["--n", "3", "--l", "2", "--t", "1"]),
+@pytest.mark.parametrize("script,args,expect", [
+    # at degree 4 the reduction stops on the copies' degree and says so
+    ("run_pipeline.py", ["--n", "5", "--l", "2", "--q", "2", "--eps", "0"], "rt_stop=degree"),
+    ("structure_report.py", ["--n", "3", "--l", "2", "--t", "1"], ""),
 ], ids=["run_pipeline", "structure_report"])
-def test_script_runs(script, args):
+def test_script_runs(script, args, expect):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     res = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args], env=env,
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip()
+    assert res.stdout.strip() and expect in res.stdout
 
 
 def _trace_diff(tmp_path, a, b, tol):

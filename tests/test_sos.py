@@ -292,7 +292,7 @@ def test_conditioned_mixture_support_matches_moments(q, data):
                                            poly_oracle.vertex_val_poly(inst, v))):
         want = sum(w * poly_oracle.evaluate(p, x) for w, x in support)
         assert cond.pE(p) == pytest.approx(want, abs=1e-12, rel=0)
-    prod, p = sos.ProductPE(cond, d), sos.vertex_val_and_poly(inst, u)
+    prod, p = sos.ProductPE(cond, d), poly_oracle.vertex_val_and_poly(inst, u)
     want = sum(w * wp * poly_oracle.evaluate(p, x, xp)
                for w, x in support for wp, xp in d.support)
     assert prod.pE(p) == pytest.approx(want, abs=1e-12, rel=0)
