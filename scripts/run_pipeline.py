@@ -40,13 +40,16 @@ def main():
             print(f"  iter {rec['iteration']}: stalled (no dense subcube)")
             continue
         mi = f"({rec['rt_reduce']['mi_x']:.4f},{rec['rt_reduce']['mi_xp']:.4f})"
+        solver = rec["solver"]
         print(f"  iter {rec['iteration']}: subcube |a|={len(rec['chosen']['a'])} "
               f"s={rec['chosen']['s']} event={rec['chosen']['event']} "
               f"value={rec['value']:.4f} "
               f"phi={rec['phi_conditioned']['phi']:.4f} mi={mi} "
               f"rt_stop={rec['rt_reduce']['stop']} "
               f"zeta={rec['tv_check']['fraction_exceeding']:.3f} "
-              f"solver={rec['solver']['method']} source={rec['solver']['source']}")
+              f"solver={solver['method']} source={solver['source']} "
+              f"iterations={solver['iterations']} status={solver.get('status', '-')} "
+              f"gap={solver['gap']:.2e}")
         print(f"    rounding guarantee {rec['rounding_guarantee']['guarantee']:.4f} "
               f"(achieved {rec['rounding_guarantee']['achieved']:.4f}); potential-relation slack "
               f"{rec['potential_relation']['slack']:.4f}")

@@ -265,11 +265,11 @@ def rt_reduce(pe: PseudoExpectation, S: Sequence[int], E: EventPoly,
     Repeatedly (deterministic seeded order) condition one copy on a vertex-pair
     value tuple, accepting a tuple iff the copy's average pairwise MI drops and
     the event keeps pE[E] >= p_floor / 2; the record's stop says why it ended:
-    "tau", "degree" (a pair would leave the copy below degree 4), "no_gain" or
-    "budget".  Its mi_pairs counts the disjoint pairs each average runs over;
-    with none (|S| < 4) nothing is measured, and tau is not reached.  The MI
-    reads four-vertex joints of one copy, so a copy of degree < 4 raises
-    DegreeExhausted.
+    "tau", "degree" (a pair would leave the copy below degree 4), "no_gain",
+    "budget" or "no_pairs".  Its mi_pairs counts the disjoint pairs each
+    average runs over; with none (|S| < 4) nothing is measured: the stop is
+    "no_pairs" and tau is not reached.  The MI reads four-vertex joints of one
+    copy, so a copy of degree < 4 raises DegreeExhausted.
     """
     S = [int(u) for u in S]
     mu = [pe, pe]
@@ -337,12 +337,14 @@ def rt_reduce(pe: PseudoExpectation, S: Sequence[int], E: EventPoly,
             break
     else:
         stop = "tau" if max(mis) <= cfg.tau else "budget"
+    if mi_pairs == 0:
+        stop = "no_pairs"   # both averages are empty and read 0.0, which passed the tau test
     p_final = ProductPE(mu[0], mu[1]).pE(E.poly)
     record = {"tuples": chosen, "mi_x": mis[0], "mi_xp": mis[1], "mi_pairs": mi_pairs,
               "p_event_before": p0, "p_event_after": p_final,
               "p_floor": p_floor, "floor_kept": p_final >= p_floor / 2 - 1e-12,
               "stop": stop, "budget_exhausted": stop == "budget", "tau": cfg.tau,
-              "reached_tau": mi_pairs > 0 and max(mis) <= cfg.tau}
+              "reached_tau": stop == "tau"}
     return mu[0], mu[1], record
 
 

@@ -10,8 +10,9 @@ for k < conj[k], and y[k] = yh[k] when conj[k] = k.  A problem without conj
 is real: yh = y and every block is real symmetric.
 
 Two methods:
-  * a primal-dual interior-point method (HKM direction, Mehrotra-style
-    centering) with a certified duality gap, for small/medium problems;
+  * a primal-dual interior-point method (HKM direction, Mehrotra's
+    predictor-corrector with the second-order correction) with a certified
+    duality gap, for small/medium problems;
   * a budgeted ADMM splitting with a PSD-projection step and a validity
     repair (mixing toward the uniform-moment interior point), for real
     problems.  Nothing in the library calls it: over the Schur budget
@@ -342,7 +343,8 @@ def solve_ipm(prob: MomentSDP, tol: float = 1e-8, max_iter: int = 80) -> SDPResu
 
     Status: "optimal" when the gap and primal residual meet tol; "max_iter";
     or "stalled" when X or S stops being numerically PD (its Cholesky fails) or
-    the Schur matrix is singular; it then returns the last dual iterate whose S was PD.
+    a solve with the Schur matrix fails; it then returns the last dual iterate
+    whose S was PD.
     """
     m = prob.m
     have_lin = prob.G is not None and prob.G.shape[0] > 0
@@ -397,38 +399,47 @@ def solve_ipm(prob: MomentSDP, tol: float = 1e-8, max_iter: int = 80) -> SDPResu
         Sinv = [L.conj().T @ L for L in LiS]
 
         H = _schur(plan, Sinv, X, w / t)
-        # The Newton right-hand side A(mu Sinv - X, mu/t - w) - r_p is affine in the
-        # centring target mu, and equals mu * A(Sinv, 1/t) + b; one factorisation of
-        # H serves the predictor and the corrector.
-        rhs = np.column_stack([op_A(Sinv, 1.0 / t), b])
-        try:
-            sol = np.linalg.solve(H + 1e-12 * np.eye(m), rhs[plan.order])
-        except np.linalg.LinAlgError:
-            status = "stalled"
-            break
-        za, zb = np.empty((2, m))
-        za[plan.order], zb[plan.order] = sol.T
+        H[np.diag_indices(m)] += 1e-12
 
-        def newton(mu_target: float):
-            dz = mu_target * za + zb
+        def schur_solve(r: np.ndarray) -> np.ndarray:
+            dz = np.empty(m)
+            dz[plan.order] = np.linalg.solve(H, r[plan.order])
+            return dz
+
+        def newton(dz: np.ndarray, mu_target: float, corr_X: list, corr_w):
+            """The step (dS, dX, dt, dw) of dz and the largest PD step lengths."""
             dS = make_S(dz, 0.0)
             dt = G @ dz
             dX = []
-            for Si, Xb, dSb in zip(Sinv, X, dS):
-                dXr = mu_target * Si - Xb - Si @ dSb @ Xb
+            for Si, Xb, dSb, Cb in zip(Sinv, X, dS, corr_X):
+                dXr = mu_target * Si - Xb - Si @ dSb @ Xb - Cb
                 dX.append((dXr + dXr.conj().T) / 2)
-            dw = mu_target / t - w - (w / t) * dt
+            dw = mu_target / t - w - (w / t) * dt - corr_w
             a_p = min(min(map(_max_step_psd, LiX, dX)), _max_step_pos(w, dw))
             a_d = min(min(map(_max_step_psd, LiS, dS)), _max_step_pos(t, dt))
-            return dz, dS, dX, dt, dw, a_p, a_d
+            return dS, dX, dt, dw, a_p, a_d
 
-        # predictor (affine scaling) to set the centering weight
-        dz, dS, dX, dt, dw, a_p, a_d = newton(0.0)
-        gap_aff = float(inner([Xb + a_p * d for Xb, d in zip(X, dX)],
-                              [Sb + a_d * d for Sb, d in zip(S, dS)])
-                        + (w + a_p * dw) @ (t + a_d * dt))
-        sigma = min(1.0, max(1e-4, (gap_aff / gap) ** 3))
-        dz, dS, dX, dt, dw, a_p, a_d = newton(sigma * mu)
+        # Two solves with one Schur matrix H (numpy keeps no factorisation).
+        # The predictor (affine scaling, target 0) solves H dz = b and sets the
+        # centring weight sigma; the corrector aims at sigma mu and subtracts the
+        # predictor's second-order terms Sinv dS_a dX_a and dw_a dt_a / t from
+        # the linearised complementarity (Mehrotra).
+        try:
+            dS, dX, dt, dw, a_p, a_d = newton(schur_solve(b), 0.0, [0.0] * len(X), 0.0)
+            gap_aff = float(inner([Xb + a_p * d for Xb, d in zip(X, dX)],
+                                  [Sb + a_d * d for Sb, d in zip(S, dS)])
+                            + (w + a_p * dw) @ (t + a_d * dt))
+            sigma = min(1.0, max(1e-4, (gap_aff / gap) ** 3))
+            corr_X = []
+            for Si, dSb, dXb in zip(Sinv, dS, dX):
+                C = Si @ dSb @ dXb
+                corr_X.append((C + C.conj().T) / 2)
+            corr_w = dw * dt / t
+            dz = schur_solve(sigma * mu * op_A(Sinv, 1.0 / t) + b - op_A(corr_X, corr_w))
+            dS, dX, dt, dw, a_p, a_d = newton(dz, sigma * mu, corr_X, corr_w)
+        except np.linalg.LinAlgError:
+            status = "stalled"
+            break
         X = [Xb + a_p * d for Xb, d in zip(X, dX)]
         w = w + a_p * dw
         z = z + a_d * dz

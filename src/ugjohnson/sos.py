@@ -920,8 +920,9 @@ def solve(relaxation: Relaxation, seed: int = 0) -> SolvedPE:
     uncertified table); over the budget the warm start is returned
     uncertified.  solve_info["source"] names the table returned: "sdp",
     "warm_start" or "warm_certificate"; on the IPM path solve_info records the
-    IPM table's objective ("sdp_objective"), the block sides solved
-    ("blocks") and the real unknowns ("variables").
+    IPM table's objective ("sdp_objective"), the largest entry of its final
+    primal residual ("primal_residual"), the block sides solved ("blocks") and
+    the real unknowns ("variables").
     """
     inst, q, D = relaxation.inst, relaxation.inst.q, relaxation.D
     x_ws, v_ws = _local_search(inst, seed)
@@ -945,7 +946,8 @@ def solve(relaxation: Relaxation, seed: int = 0) -> SolvedPE:
         info.update(method="ipm", source=source, gap=res.gap,
                     certified=res.status == "optimal", iterations=res.iterations,
                     min_eig=res.min_eig, status=res.status, sdp_objective=res.objective,
-                    blocks=list(prob.blocks), variables=prob.m)
+                    primal_residual=res.primal_residual, blocks=list(prob.blocks),
+                    variables=prob.m)
     else:
         info.update(method="warm_start", source="warm_start", gap=math.nan, certified=False,
                     status="over_budget")

@@ -72,16 +72,18 @@ def test_rt_reduce_independent_needs_no_tuples(planted421):
 
 def test_rt_reduce_without_disjoint_pairs_measures_nothing(planted421):
     # three vertices hold no two disjoint pairs: no MI is averaged, so tau is
-    # not reached, though the empty averages read 0
+    # not reached, though the empty averages read 0, and the stop says so
     g, inst, _ = planted421
     pe = sos.solve(sos.relax(inst, 4))
     cfg = RoundingConfig(degree=4)
     _, _, rec = rt_reduce(pe, [0, 1, 2], EventPoly({ONE: 1.0}), cfg, 1.0)
     assert rec["mi_pairs"] == 0 and rec["mi_x"] == rec["mi_xp"] == 0.0
-    assert not rec["reached_tau"]
+    assert rec["stop"] == "no_pairs"
+    assert not rec["reached_tau"] and not rec["budget_exhausted"]
     # six vertices hold 45 disjoint pairs of pairs, of which the budget samples 30
     _, _, rec = rt_reduce(pe, range(6), EventPoly({ONE: 1.0}), cfg, 1.0)
     assert rec["mi_pairs"] == cfg.mi_pair_budget == 30
+    assert rec["stop"] == "degree"
 
 
 def test_rt_reduce_two_cluster_mixture():

@@ -13,15 +13,18 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("script,args,expect", [
     # at degree 4 the reduction stops on the copies' degree and says so
-    ("run_pipeline.py", ["--n", "5", "--l", "2", "--q", "2", "--eps", "0"], "rt_stop=degree"),
-    ("structure_report.py", ["--n", "3", "--l", "2", "--t", "1"], ""),
-], ids=["run_pipeline", "structure_report"])
+    ("run_pipeline.py", ["--n", "5", "--l", "2", "--q", "2", "--eps", "0"], ["rt_stop=degree"]),
+    # a noisy instance runs the interior-point method, whose convergence is printed
+    ("run_pipeline.py", ["--n", "4", "--l", "2", "--q", "3", "--eps", "0.5", "--seed", "2"],
+     ["solver=ipm", "status=optimal", "iterations=", "gap="]),
+    ("structure_report.py", ["--n", "3", "--l", "2", "--t", "1"], []),
+], ids=["run_pipeline", "run_pipeline_ipm", "structure_report"])
 def test_script_runs(script, args, expect):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     res = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args], env=env,
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() and expect in res.stdout
+    assert res.stdout.strip() and all(e in res.stdout for e in expect)
 
 
 def _trace_diff(tmp_path, a, b, tol):

@@ -91,6 +91,15 @@ def test_warm_certificate_path():
     assert pe.solve_info["method"] == "warm_certificate"
     assert pe.solve_info["objective"] == pytest.approx(1.0, abs=1e-9)
     assert pe.solve_info["certified"]
+    assert "primal_residual" not in pe.solve_info   # recorded by the IPM path only
+
+
+def test_second_order_corrector_bounds_the_iterations():
+    # solve_d2's J(8,2,1) q=2 instance at seed 1 (eps .5, plant seed 1002): the
+    # centring-only corrector took 65 iterations, the second-order one takes 22
+    inst, _ = ug_core.plant(johnson.build(8, 2, 0.5), 2, ug_core.PlantedSpec(0.5, 1002))
+    res = solve_ipm(sos.relax(inst, 2).problem)
+    assert res.status == "optimal" and res.iterations <= 30
 
 
 def test_ipm_with_orthant_block():

@@ -158,6 +158,9 @@ def test_solve_info_names_the_source_of_the_table(n, q, D, source):
     pe = solve(rel)
     assert (pe.solve_info["method"], pe.solve_info["source"]) == ("ipm", source)
     assert np.array_equal(pe.y, _warm_y(rel)) == (source == "warm_start")
+    # the final primal residual of a certified solve meets the convergence
+    # test's bound, 10 tol = 1e-7
+    assert pe.solve_info["certified"] and 0.0 <= pe.solve_info["primal_residual"] <= 1e-7
 
 
 @pytest.mark.parametrize("below, gap, status, source", [
