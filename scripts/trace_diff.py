@@ -7,8 +7,13 @@ Numbers are compared by their absolute deviation; the report gives the largest
 deviation per path, where a path names the dict keys and drops list indices
 (so `records.tv_check.bound` covers the bound of every record).
 
+Given two directories, it compares each same-named `*.json` file of the two
+(a file on one side only is a difference) and begins every line it prints
+with the file's name.
+
 Example:
     python scripts/trace_diff.py parent.json change.json --tol 1e-12
+    python scripts/trace_diff.py parent_traces change_traces --tol 1e-12
 
 Exits 1 on any structural difference or on a deviation above --tol.
 """
@@ -17,6 +22,7 @@ import argparse
 import json
 import math
 import sys
+from pathlib import Path
 
 
 def _is_number(x) -> bool:
@@ -50,28 +56,45 @@ def compare(a, b, path: str, structural: list, deviation: dict) -> None:
         structural.append((path, f"{a!r} != {b!r}"))
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("a")
-    ap.add_argument("b")
-    ap.add_argument("--tol", type=float, default=0.0,
-                    help="largest absolute deviation allowed on any numeric path")
-    args = ap.parse_args(argv)
-    with open(args.a) as fa, open(args.b) as fb:
-        a, b = json.load(fa), json.load(fb)
+def diff_files(a_path: Path, b_path: Path, tol: float, prefix: str = "") -> int:
+    """Print the differences of two trace files, each line after prefix, and
+    return how many there are: structural ones plus paths above tol."""
+    a, b = (json.loads(p.read_text()) for p in (a_path, b_path))
     structural: list = []
     deviation: dict = {}
     compare(a, b, "", structural, deviation)
     for path, reason in structural:
-        print(f"structure {path}: {reason}")
+        print(f"{prefix}structure {path}: {reason}")
     over = 0
     for path, (dev, rel) in sorted(deviation.items(), key=lambda kv: -kv[1][0]):
         if dev > 0:
-            flag = "over" if dev > args.tol else "ok"
+            flag = "over" if dev > tol else "ok"
             over += flag == "over"
-            print(f"{flag:4} {path}: max abs {dev:.3g}, max rel {rel:.3g}")
-    print(f"{len(structural)} structural difference(s), {over} path(s) above tol {args.tol:g}")
-    return 1 if structural or over else 0
+            print(f"{prefix}{flag:4} {path}: max abs {dev:.3g}, max rel {rel:.3g}")
+    print(f"{prefix}{len(structural)} structural difference(s), {over} path(s) above tol {tol:g}")
+    return len(structural) + over
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("a", type=Path, help="a trace file, or a directory of them")
+    ap.add_argument("b", type=Path, help="the same kind as a")
+    ap.add_argument("--tol", type=float, default=0.0,
+                    help="largest absolute deviation allowed on any numeric path")
+    args = ap.parse_args(argv)
+    if args.a.is_dir() != args.b.is_dir():
+        ap.error("a and b must both be files or both be directories")
+    if not args.a.is_dir():
+        return 1 if diff_files(args.a, args.b, args.tol) else 0
+    names = [{p.name for p in d.glob("*.json")} for d in (args.a, args.b)]
+    bad = 0
+    for name in sorted(names[0] | names[1]):
+        if name not in names[0] or name not in names[1]:
+            print(f"{name}: only in " + ("A" if name in names[0] else "B"))
+            bad += 1
+        else:
+            bad += diff_files(args.a / name, args.b / name, args.tol, f"{name}: ")
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from . import potentials as pot
 from . import sos
 from .johnson import Subcube
 from .monomials import EventPoly, mul, poly_mul, var
-from .potentials import LocalDistributionCollection, pairwise_mi, tv_distance
+from .potentials import LocalDistributionCollection, tv_distance
 from .sos import (DegreeExhausted, NearZeroEvent, ProductPE, PseudoExpectation,
                   condition, density_poly, product, shift_symmetrize)
 from .ug_core import (UGInstance, edges_inside, randomize_edges, satisfied_mask,
@@ -269,7 +269,8 @@ def rt_reduce(pe: PseudoExpectation, S: Sequence[int], E: EventPoly,
     "budget" or "no_pairs".  Its mi_pairs counts the disjoint pairs each
     average runs over; with none (|S| < 4) nothing is measured: the stop is
     "no_pairs" and tau is not reached.  The MI reads four-vertex joints of one
-    copy, so a copy of degree < 4 raises DegreeExhausted.
+    copy, so a copy of degree < 4 raises DegreeExhausted.  A copy that no
+    tuple conditions is returned as pe itself.
     """
     S = [int(u) for u in S]
     mu = [pe, pe]
@@ -279,12 +280,14 @@ def rt_reduce(pe: PseudoExpectation, S: Sequence[int], E: EventPoly,
     chosen: list[dict] = []
 
     def mi_stats(side: int, prod: ProductPE) -> pot.MIStats:
-        return pairwise_mi(LocalDistributionCollection(prod), S, primed=side == 1,
-                           max_pairs=cfg.mi_pair_budget, seed=cfg.seed)
+        return pot.pairwise_mi(LocalDistributionCollection(prod), S, primed=side == 1,
+                               max_pairs=cfg.mi_pair_budget, seed=cfg.seed)
 
-    first = [mi_stats(side, ProductPE(mu[0], mu[1])) for side in (0, 1)]
-    mis = [st.average for st in first]
-    mi_pairs = len(first[0].values)
+    # both copies are pe, and the primed average of ProductPE(pe, pe) is the
+    # unprimed one, so the starting MI is measured once
+    first = mi_stats(0, ProductPE(pe, pe))
+    mis = [first.average] * 2
+    mi_pairs = len(first.values)
     rng = np.random.default_rng(cfg.seed + 1)
     for _ in range(cfg.tuple_budget):
         side = 0 if mis[0] >= mis[1] else 1
@@ -386,7 +389,10 @@ def subround(inst: UGInstance, pe: PseudoExpectation, a: Optional[tuple],
              cfg: RoundingConfig) -> tuple[np.ndarray, dict]:
     """Pipeline: product -> (find event/subcube) -> rt_reduce -> condition on
     the event -> TV check -> symmetrize -> Condition&Round on each copy inside
-    the subcube; returns the better assignment and the full record."""
+    the subcube; returns the better assignment and the full record.  A solved
+    table is shift-invariant and symmetrising it returns it, so when the
+    reduction conditions neither copy (every D = 4 run) the two copies are one
+    object: Condition&Round and Psi run once and fill both copies' entries."""
     g = inst.graph_tag
     if pe.degree < 4:
         raise ValueError("SubRound needs a degree >= 4 pseudoexpectation")
@@ -424,7 +430,8 @@ def subround(inst: UGInstance, pe: PseudoExpectation, a: Optional[tuple],
 
     mu1s, mu2s = shift_symmetrize(mu1), shift_symmetrize(mu2)
     x1, rec1 = condition_and_round(mu1s, inst, scope=S, anchor_budget=cfg.anchor_budget)
-    x2, rec2 = condition_and_round(mu2s, inst, scope=S, anchor_budget=cfg.anchor_budget)
+    x2, rec2 = (x1, rec1) if mu2s is mu1s else condition_and_round(
+        mu2s, inst, scope=S, anchor_budget=cfg.anchor_budget)
     v1, v2 = rec1["best_value"], rec2["best_value"]
     x, rec, v = (x1, rec1, v1) if v1 >= v2 else (x2, rec2, v2)
     record["round_copy"] = 0 if v1 >= v2 else 1
@@ -444,7 +451,7 @@ def subround(inst: UGInstance, pe: PseudoExpectation, a: Optional[tuple],
                          "ok": v >= guarantee - 1e-6,
                          "could_fail": bool(guarantee > 0.0)}  # the value is at least 0
     psi1 = pot.psi_potential(mu1s, inst, scope=S)
-    psi2 = pot.psi_potential(mu2s, inst, scope=S)
+    psi2 = psi1 if mu2s is mu1s else pot.psi_potential(mu2s, inst, scope=S)
     bn = cfg.beta - cfg.nu
     rel_rhs = psi1 / (2 * bn ** 2) + psi2 / (2 * bn ** 2) + 3 * cfg.nu / bn \
         + 2 * delta_m + 2 * zeta_m + 1.0 / len(S)

@@ -226,7 +226,14 @@ def reduced_terms(m: Monomial, q: int) -> list[tuple[Monomial, float]]:
 
 class SolvedPE(PseudoExpectation):
     """Pseudoexpectation backed by the SDP solver's reduced moment vector y,
-    read-only, in monomial_classes(n, q, degree, True) order."""
+    read-only, in monomial_classes(n, q, degree, True) order.
+
+    Every table the library builds as a SolvedPE is invariant under global
+    label shifts by construction: solve's IPM table comes from charge-0
+    Fourier moments (Relaxation.reduced_table), its warm start and certificate
+    are shift orbits (assignment_reduced_table), and verify's table is
+    uniform.  So shift_symmetrize returns a SolvedPE as it is; a table read
+    from a file (cli) is only validated, never rounded."""
 
     def __init__(self, n_vertices: int, q: int, degree: int,
                  y: Sequence[float], solve_info: Optional[dict] = None):
@@ -368,9 +375,12 @@ class ShiftSymmetrizedPE(PseudoExpectation):
                 for F in self.base.label_moments(d)]
 
 
-def shift_symmetrize(pe: PseudoExpectation) -> ShiftSymmetrizedPE:
-    """Idempotent: an already symmetrised pe is returned as it is, arrays included."""
-    return pe if isinstance(pe, ShiftSymmetrizedPE) else ShiftSymmetrizedPE(pe)
+def shift_symmetrize(pe: PseudoExpectation) -> PseudoExpectation:
+    """The average of a single copy over global label shifts.  A SolvedPE is
+    shift-invariant by construction (see its docstring) and an already
+    symmetrised pe is the average of itself, so both are returned as they
+    are, arrays included."""
+    return pe if isinstance(pe, (SolvedPE, ShiftSymmetrizedPE)) else ShiftSymmetrizedPE(pe)
 
 
 class ProductPE(PseudoExpectation):
@@ -436,7 +446,8 @@ class ProductPE(PseudoExpectation):
         not fit their factor's degree."""
         poly = self.event.poly if self.event is not None else {ONE: 1.0}
         terms = [split_copies(m) for m in poly]
-        V = [tuple(tuple(int(u) for u in t) for t in Vc) for Vc in (V0, V1)]
+        V = [tuple(map(tuple, np.asarray(Vc, dtype=np.int64).reshape(len(Vc), -1).tolist()))
+             for Vc in (V0, V1)]
         shape = (len(poly), len(V0), -1)
         a0, a1 = (_joint_moments(pe, Vc, tuple(t[c] for t in terms)).reshape(shape)
                   for c, (pe, Vc) in enumerate(zip((self.pe1, self.pe2), V)))
@@ -698,9 +709,18 @@ def uniform_reduced_table(n: int, q: int, D: int) -> np.ndarray:
 
 
 def assignment_reduced_table(x: np.ndarray, q: int, D: int) -> np.ndarray:
-    """Reduced moments of the shift orbit of the integral assignment x: its
-    label moments at labels >= 1, in monomial_classes(len(x), q, D, True) order."""
-    return shift_symmetrize(from_assignment(x, q)).reduced_moments(D)[:-1]
+    """Reduced moments of the shift orbit of the integral assignment x, in
+    monomial_classes(len(x), q, D, True) order, in closed form: the orbit puts
+    mass 1/q on each x + s, so the moment of X_{u_1,a_1} ... X_{u_k,a_k} is
+    1/q when a_i - x(u_i) mod q is the same for every i and 0 otherwise (1
+    on the empty monomial)."""
+    x = np.asarray(x, dtype=np.int64)
+    out = []
+    for k in range(D + 1):
+        labels = np.asarray(list(itertools.product(range(1, q), repeat=k)), dtype=np.int64)
+        diff = (labels.reshape(1, (q - 1) ** k, k) - x[_combinations(len(x), k)][:, None, :]) % q
+        out.append(np.where((diff == diff[..., :1]).all(axis=2), 1.0 / q if k else 1.0, 0.0).ravel())
+    return np.concatenate(out)
 
 
 def relax(inst: UGInstance, D: int) -> Relaxation:

@@ -41,3 +41,10 @@ def reduced_problem(inst, D):
                      entry_i=ei[~const], entry_j=ej[~const], entry_k=ek[~const],
                      const_entries=(ei[const], ej[const]),
                      c=rows[0].copy(), uniform_y=sos.uniform_reduced_table(n, q, D), G=G, g0=g0)
+
+
+def orbit_reduced_table(x, q, D):
+    """The reduced moments of the shift orbit of the assignment x as
+    `sos.assignment_reduced_table` built them before its closed form: the
+    orbit's label moments, rolled over every shift, at labels >= 1."""
+    return sos.shift_symmetrize(sos.from_assignment(x, q)).reduced_moments(D)[:-1]

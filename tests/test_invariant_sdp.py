@@ -17,7 +17,7 @@ import pytest
 from ugjohnson import johnson, sos, ug_core
 from ugjohnson.sdp import _schur, _schur_plan, solve_ipm
 
-from reduced_oracle import reduced_problem
+from reduced_oracle import orbit_reduced_table, reduced_problem
 
 
 def _planted(n, q, eps, seed):
@@ -107,9 +107,40 @@ def test_invariant_ipm_matches_the_reduced_oracle(n, q, D):
     pe = sos.SolvedPE(inst.vertex_count, q, D, y)
     assert pe.value(inst) == pytest.approx(inv.objective, abs=1e-12)
     assert sos.validate(pe)["ok"]
-    sym = sos.shift_symmetrize(pe)
+    sym = sos.ShiftSymmetrizedPE(pe)
     for F, Fs in zip(pe.label_moments(D), sym.label_moments(D)):
         assert np.abs(F - Fs).max() <= 1e-12
+
+
+# every kind of table solve returns: IPM tables at D = 4 and 6, the warm start
+# over the Schur budget, and the certificate
+SOLVED = {
+    "ipm J(4,2,1) q=3 D=4": (4, 3, 0.25, 13, 4, 0, "sdp"),
+    "ipm J(4,2,1) q=3 D=6": (4, 3, 0.25, 13, 6, 0, "sdp"),
+    "ipm J(5,2,1) q=2 D=6": (5, 2, 0.3, 16, 6, 0, "sdp"),
+    "warm start J(8,2,1) q=2 D=4": (8, 2, 0.05, 1000, 4, 1, "warm_start"),
+    "certificate J(8,2,1) q=3 D=4": (8, 3, 0.0, 103, 4, 0, "warm_certificate"),
+}
+
+
+@pytest.mark.parametrize("name", list(SOLVED))
+def test_every_solved_table_is_shift_invariant(name):
+    # shift_symmetrize returns a SolvedPE as it is, which is right only
+    # because every table solve returns equals its average over the shifts
+    n, q, eps, plant_seed, D, seed, source = SOLVED[name]
+    pe = sos.solve(sos.relax(_planted(n, q, eps, plant_seed), D), seed=seed)
+    assert pe.solve_info["source"] == source
+    assert sos.shift_symmetrize(pe) is pe
+    for F, Fs in zip(pe.label_moments(D), sos.ShiftSymmetrizedPE(pe).label_moments(D)):
+        assert np.abs(F - Fs).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n,q,D", [(28, 2, 4), (28, 3, 4), (10, 2, 6), (6, 3, 6), (10, 4, 4)])
+def test_orbit_table_in_closed_form_is_the_rolled_orbit_bitwise(n, q, D):
+    x = np.random.default_rng(n * q + D).integers(0, q, n)
+    got, want = sos.assignment_reduced_table(x, q, D), orbit_reduced_table(x, q, D)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 def _orbit_table(n, q, D, seed):

@@ -73,8 +73,8 @@ def _singles():
     rng = np.random.default_rng(3)
     dist = sos.mixture([(sos.from_assignment(rng.integers(0, 3, 6), 3), w)
                         for w in (0.5, 0.3, 0.2)])
-    prod = sos.ProductPE(sos.shift_symmetrize(d6), d6).condition(EventPoly(_density([0, 2, 4], 1, 2)))
-    return {"solved_d4": d4, "solved_d6": d6, "shift_symmetrized": sos.shift_symmetrize(d4),
+    prod = sos.ProductPE(sos.ShiftSymmetrizedPE(d6), d6).condition(EventPoly(_density([0, 2, 4], 1, 2)))
+    return {"solved_d4": d4, "solved_d6": d6, "shift_symmetrized": sos.ShiftSymmetrizedPE(d4),
             "conditioned": sos.ConditionedPE(d6, EventPoly({mul(var(0, 0), var(1, 1)): 1.0})),
             "distribution": dist, "marginal_0": prod.marginal_pe(0),
             "marginal_1": prod.marginal_pe(1)}
@@ -96,7 +96,7 @@ def test_single_copy_pE_equals_the_scalar_sum(name):
 @pytest.mark.parametrize("event", [None, "density", "mixed"])
 def test_product_pE_equals_the_scalar_sum(event):
     solved = _random_solved(5, 2, 6, 4)
-    prod = sos.ProductPE(sos.shift_symmetrize(solved), solved)
+    prod = sos.ProductPE(sos.ShiftSymmetrizedPE(solved), solved)
     if event == "density":
         prod = prod.condition(EventPoly(_density([0, 1, 3], 0, 2)))
     elif event == "mixed":
@@ -132,9 +132,9 @@ def _psi_cases(ipm_521, mixture_521):
     inst, pe = ipm_521
     _, mix, solved6 = mixture_521
     sub = johnson.subcube(inst.graph_tag, (0,)).vertex_ids()
-    cond = sos.condition(sos.shift_symmetrize(solved6), EventPoly({mul(var(0, 0), var(1, 1)): 1.0}))
+    cond = sos.condition(sos.ShiftSymmetrizedPE(solved6), EventPoly({mul(var(0, 0), var(1, 1)): 1.0}))
     assert isinstance(cond, sos.ConditionedPE) and cond.degree == 4
-    return {"ipm": (pe, None), "ipm_symmetrized": (sos.shift_symmetrize(pe), None),
+    return {"ipm": (pe, None), "ipm_symmetrized": (sos.ShiftSymmetrizedPE(pe), None),
             "subset_scope": (sos.shift_symmetrize(pe), sub), "degree6_conditioned": (cond, None),
             "support_mixture": (mix, None), "mixture_subset": (mix, sub)}, inst
 
@@ -170,7 +170,7 @@ def test_condition_and_round_equals_the_scalar_loop(name, ipm_521, mixture_521, 
     if name == "mixture":
         pe = mixture_521[1]
     elif name == "degree6_conditioned":
-        pe = sos.condition(sos.shift_symmetrize(mixture_521[2]),
+        pe = sos.condition(sos.ShiftSymmetrizedPE(mixture_521[2]),
                            EventPoly({mul(var(0, 0), var(1, 1)): 1.0}))
     scope = johnson.subcube(inst.graph_tag, (1,)).vertex_ids() if "subcube" in name else None
     x, rec = condition_and_round(pe, inst, scope=scope)

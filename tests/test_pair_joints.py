@@ -68,7 +68,7 @@ def _mixture_521():
 
 def _degree6_conditioned():
     inst, _, solved = _mixture_521()
-    sym = sos.shift_symmetrize(solved)
+    sym = sos.ShiftSymmetrizedPE(solved)
     cond = sos.condition(sym, EventPoly({mul(var(0, 0), var(1, 1)): 1.0}))
     assert isinstance(cond, sos.ConditionedPE) and cond.degree == 4
     S = list(range(10))
@@ -111,7 +111,7 @@ def test_label_moments_equal_one_moment_per_class(n, q, D):
     y = [float(rng.random()) for m in sos.monomial_classes(n, q, D, True)]
     solved = sos.SolvedPE(n, q, D, y)
     cond = sos.ConditionedPE(solved, EventPoly({var(1, 1): 1.0}))
-    for pe in (solved, sos.shift_symmetrize(solved), cond):
+    for pe in (solved, sos.ShiftSymmetrizedPE(solved), cond):
         for d in range(pe.degree + 1):
             flat = np.concatenate([F.ravel() for F in pe.label_moments(d)])
             assert np.abs(flat - _class_moments(pe, d)).max() <= 1e-12
@@ -125,7 +125,7 @@ def test_joint_equals_one_moment_per_cell(backing):
     # batches of three tuples, on a product with and without a mixed event
     inst, mix, solved = _mixture_521()
     pe = solved if backing == "solved" else mix
-    prod = sos.ProductPE(sos.shift_symmetrize(pe), pe)
+    prod = sos.ProductPE(sos.ShiftSymmetrizedPE(pe), pe)
     rng = np.random.default_rng(12)
     for pr in (prod, prod.condition(_squared_density(inst, list(range(10)), 1))):
         for k0, k1 in ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1), (1, 3), (4, 0), (2, 2)):

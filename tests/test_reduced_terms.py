@@ -66,7 +66,7 @@ def _shift_reference(base, m):
 def test_shift_symmetrized_single_matches_canon():
     n, q = 6, 3
     base = _solved(n, q, 4, seed=1)
-    pe = sos.shift_symmetrize(base)
+    pe = sos.ShiftSymmetrizedPE(base)
     for m in _random_monomials(np.random.default_rng(2), n, q, (0,), 4, 200):
         assert pe.moment(m) == _shift_reference(base, m)
 

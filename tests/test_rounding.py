@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ugjohnson import johnson, rounding, sos, ug_core
+from ugjohnson import johnson, potentials, rounding, sos, ug_core
 from ugjohnson.monomials import ONE, EventPoly, mul, var
 from ugjohnson.potentials import LocalDistributionCollection, pairwise_mi
 from ugjohnson.rounding import (NoDenseSubcube, RoundingConfig, condition_and_round,
@@ -305,6 +305,61 @@ def test_main_algorithm_at_degree_6_runs_the_reduction():
         assert len(rt["tuples"]) >= 1 and rt["stop"] == "tau" and not rt["budget_exhausted"]
         assert rec["tv_check"]["tau_bar"] == max(rt["mi_x"], rt["mi_xp"]) < 1e-3
         assert set(rec["phi_before"]) == set(rec["phi_conditioned"]) == {"phi"}
+
+
+def _count_measurements(monkeypatch):
+    """Wrap the MI, Psi and Condition&Round entry points with counters; the MI
+    counter keeps each call's primed flag."""
+    calls = {"mi": [], "psi": 0, "cr": 0}
+    mi, psi, cr = potentials.pairwise_mi, potentials.psi_potential, rounding.condition_and_round
+
+    def count_mi(*args, **kw):
+        calls["mi"].append(kw.get("primed", False))
+        return mi(*args, **kw)
+
+    def count(key, fn):
+        def wrapped(*args, **kw):
+            calls[key] += 1
+            return fn(*args, **kw)
+        return wrapped
+
+    monkeypatch.setattr(potentials, "pairwise_mi", count_mi)
+    monkeypatch.setattr(potentials, "psi_potential", count("psi", psi))
+    monkeypatch.setattr(rounding, "condition_and_round", count("cr", cr))
+    return calls
+
+
+def _planted_run(n, q, eps, D, seed):
+    inst, A = ug_core.plant(johnson.build(n, 2, 0.5), q, ug_core.PlantedSpec(eps, seed))
+    cfg = RoundingConfig.for_instance(inst, eps=eps, degree=D, seed=seed)
+    return main_algorithm(inst, cfg, witness=A)[1]
+
+
+def test_subround_measures_an_untouched_copy_once(monkeypatch):
+    # round_admm's seed-1 instance: at D = 4 the reduction conditions neither
+    # copy, so both are the solved table, measured once and recorded twice
+    calls = _count_measurements(monkeypatch)
+    trace = _planted_run(8, 2, 0.05, 4, 1000)
+    assert len(trace.records) == 1
+    rec = trace.records[0]
+    assert rec["rt_reduce"]["stop"] == "degree" and not rec["rt_reduce"]["tuples"]
+    assert calls == {"mi": [False], "psi": 1, "cr": 1}
+    assert rec["rt_reduce"]["mi_x"] == rec["rt_reduce"]["mi_xp"]
+    pr = rec["potential_relation"]
+    assert pr["psi1"] == pr["psi2"]
+    assert rec["cr_records"][0] == rec["cr_records"][1]
+
+
+def test_subround_measures_conditioned_copies_separately(monkeypatch):
+    # at D = 6 the reduction conditions each copy once, so the copies differ
+    # and each is rounded and measured on its own
+    calls = _count_measurements(monkeypatch)
+    trace = _planted_run(5, 2, 0.3, 6, 16)
+    assert len(trace.records) == 1
+    rt = trace.records[0]["rt_reduce"]
+    assert sorted(t["side"] for t in rt["tuples"]) == [0, 1]
+    assert calls["psi"] == 2 and calls["cr"] == 2
+    assert set(calls["mi"]) == {False, True}
 
 
 def test_main_algorithm_planted(planted421):

@@ -48,3 +48,29 @@ def test_trace_diff_reports_structure_and_the_largest_deviation_per_path(tmp_pat
                     {"records": [{"mi": 0.5, "ok": False}, a["records"][1]], "config": {"seed": 1}}):
         res = _trace_diff(tmp_path, a, changed, 1.0)
         assert res.returncode == 1 and res.stdout.startswith("structure ")
+
+
+def test_trace_diff_compares_the_same_named_files_of_two_directories(tmp_path):
+    doc = {"records": [{"mi": 0.5, "ok": True}], "config": {"seed": 1}}
+    moved = {"records": [{"mi": 0.5 + 1e-10, "ok": True}], "config": {"seed": 1}}
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d, docs in ((a, {"same.json": doc, "moved.json": doc, "only_a.json": doc}),
+                    (b, {"same.json": doc, "moved.json": moved})):
+        d.mkdir()
+        for name, content in docs.items():
+            (d / name).write_text(json.dumps(content))
+
+    def run(tol):
+        return subprocess.run([sys.executable, str(ROOT / "scripts" / "trace_diff.py"),
+                               str(a), str(b), "--tol", str(tol)],
+                              capture_output=True, text=True, timeout=60)
+
+    res = run(1e-12)
+    lines = res.stdout.splitlines()
+    assert res.returncode == 1 and lines
+    assert all(line.startswith(("same.json: ", "moved.json: ", "only_a.json: ")) for line in lines)
+    assert "moved.json: over records.mi: max abs 1e-10" in lines[0]
+    assert "only_a.json: only in A" in lines
+    assert "same.json: 0 structural difference(s), 0 path(s) above tol 1e-12" in lines
+    (a / "only_a.json").unlink()
+    assert run(1e-9).returncode == 0 and run(1e-12).returncode == 1

@@ -500,7 +500,7 @@ def test_validate_measures_every_copy_of_a_large_table():
     bad = sos.SolvedPE(n, q, D, _raised(good.y, n, q, 4))
     alone = validate(bad)
     assert "psd" in alone["failed"], alone
-    for wrapped in (sos.ProductPE(bad, good), shift_symmetrize(bad)):
+    for wrapped in (sos.ProductPE(bad, good), sos.ShiftSymmetrizedPE(bad)):
         rep = validate(wrapped)
         assert "psd" in rep["failed"] and rep["min_eig"] < -sos.TOL_PSD, rep
         assert rep["moment_matrix_side"] == 1 + 21 * 2 + 210 * 4
