@@ -35,6 +35,18 @@ TV_EXCEEDANCE_CONST = 16.0   # instantiated O(.) constant in the TV-exceedance b
 THETA = 1.0                  # generic Theta(.) constant of the event-search thresholds
 ROUND_J_CONST = 2.0          # instantiated O(delta + zeta) constant in the rounding guarantee
 ANCHOR_FLOOR = 1e-9          # Condition&Round skips an anchor u with pE[X_u = 0] below this
+# SubRound's fixed parameters: beta and nu of the step function (nu < beta), the MI
+# target tau, the TV threshold delta, and the implementation's sampling budgets
+BETA = 0.3
+NU = 0.1
+TAU = 0.01
+DELTA = 0.2
+THR_SCALE = 0.5              # density threshold = THR_SCALE * exp(-r); below 1 so the
+                             # whole-graph part can fire at r = 0
+ANCHOR_BUDGET = 32           # Condition&Round anchors per copy
+TUPLE_BUDGET = 8             # rt_reduce conditioning steps
+MI_PAIR_BUDGET = 30          # disjoint pairs of pairs each average MI samples
+TV_PAIR_BUDGET = 30          # pairs the TV check samples
 
 
 class NoDenseSubcube(RuntimeError):
@@ -43,55 +55,45 @@ class NoDenseSubcube(RuntimeError):
 
 @dataclass
 class RoundingConfig:
+    """What varies between runs: the regime and its completeness, the
+    restriction size r, the coverage target, the relaxation degree and the
+    seed.  SubRound's own parameters are the module constants above."""
     regime: str = "close_to_1"       # or "low_completeness"
     eps: float = 0.0                 # completeness 1 - eps (close_to_1)
     c: float = 0.5                   # completeness floor (low_completeness)
     r: int = 0
-    beta: float = 0.3
-    nu: float = 0.1
-    tau: float = 0.01
-    delta: float = 0.2               # TV threshold
     gamma: float = 0.05              # coverage target fraction (while-loop)
     degree: int = 4
     seed: int = 0
-    thr_scale: float = 0.5           # density threshold = thr_scale * exp(-r);
-                                     # must be < 1 so the whole-graph part can fire at r = 0
-    anchor_budget: int = 32
-    tuple_budget: int = 8
-    mi_pair_budget: int = 30
-    tv_pair_budget: int = 30
 
     def __post_init__(self):
         if self.regime not in ("close_to_1", "low_completeness"):
             raise ValueError(f"unknown regime {self.regime}")
-        for name in ("beta", "nu", "tau", "delta", "gamma", "thr_scale"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.r < 0 or self.degree < 2 or self.nu >= self.beta:
-            raise ValueError("need r >= 0, degree >= 2, nu < beta")
+        if self.r < 0 or self.degree < 2 or self.gamma <= 0:
+            raise ValueError("need r >= 0, degree >= 2, gamma > 0")
 
     @staticmethod
     def for_instance(inst: UGInstance, eps: float = 0.0, degree: int = 4,
-                     seed: int = 0, **kw) -> "RoundingConfig":
+                     seed: int = 0) -> "RoundingConfig":
         g = inst.graph_tag
         alpha = g.alpha if g is not None else 0.5
         ell = g.ell if g is not None else 2
         r = int(32 * sqrt(max(eps, 0.0)) / alpha)
         r = min(r, max(0, int(np.ceil(ell / 4)) - 1), ell - 1)
         cfg = RoundingConfig(regime="close_to_1", eps=eps, r=r, degree=degree,
-                             seed=seed, gamma=max(eps, 0.05), **kw)
+                             seed=seed, gamma=max(eps, 0.05))
         return cfg
 
     @staticmethod
     def low_completeness(inst: UGInstance, c: float, degree: int = 4,
-                         seed: int = 0, **kw) -> "RoundingConfig":
+                         seed: int = 0) -> "RoundingConfig":
         g = inst.graph_tag
         alpha = g.alpha if g is not None else 0.5
         ell = g.ell if g is not None else 2
         r = max(1, int(np.ceil(log(c) / log(1 - alpha))))
         r = min(r, ell - 1)
         return RoundingConfig(regime="low_completeness", c=c, r=r, degree=degree,
-                              seed=seed, gamma=max(c * c, 0.05), **kw)
+                              seed=seed, gamma=max(c * c, 0.05))
 
 
 @dataclass
@@ -130,15 +132,15 @@ class RoundingTrace:
 
 
 def condition_and_round(pe: PseudoExpectation, inst: UGInstance,
-                        scope: Optional[Sequence[int]] = None,
-                        anchor_budget: int = 32) -> tuple[np.ndarray, dict]:
-    """Derandomized Condition&Round: for each anchor u condition on X_u = 0
-    and give every vertex the argmax label of its conditional marginal; return
-    the best assignment over anchors (max >= mean of the randomized variant)."""
+                        scope: Optional[Sequence[int]] = None) -> tuple[np.ndarray, dict]:
+    """Derandomized Condition&Round: for each of the first ANCHOR_BUDGET anchors
+    u condition on X_u = 0 and give every vertex the argmax label of its
+    conditional marginal; return the best assignment over anchors (max >= mean
+    of the randomized variant)."""
     pe = shift_symmetrize(pe)
     verts = list(scope) if scope is not None else list(range(pe.n_vertices))
     within = set(verts) if scope is not None else None
-    anchors = verts[:anchor_budget]
+    anchors = verts[:ANCHOR_BUDGET]
     if not anchors:
         raise NearZeroEvent("no anchor to condition on")
     best_x, best_v, rows, failures = None, -1.0, [], 0
@@ -185,7 +187,7 @@ def find_event_subcube(inst: UGInstance, prod: ProductPE, cfg: RoundingConfig
 
     close-to-1 regime: event = density delta of G_s in J|_a (a within-budget
     stand-in for the step-thresholded density event); score = pE[P (delta -
-    thr)] with thr = thr_scale * exp(-r).  low-completeness: score from the
+    thr)] with thr = THR_SCALE * exp(-r).  low-completeness: score from the
     both-satisfied density with the maximality filter on proper
     sub-restrictions.  Every number is a mean of Z-moments of the product's
     joints; only the chosen event is built as a polynomial.
@@ -212,7 +214,7 @@ def find_event_subcube(inst: UGInstance, prod: ProductPE, cfg: RoundingConfig
             score = _both_sat_moment(inst, prod, S) - thr * p_event
             floor = THETA * cfg.c ** 2 / (8 * max(cfg.r, 1) * g.ell ** j * q)
         else:
-            thr = cfg.thr_scale * np.exp(-cfg.r)
+            thr = THR_SCALE * np.exp(-cfg.r)
             sq = Z2[np.ix_(S, S)].sum((0, 1)) / len(S) ** 2  # pE[delta^2]
             score = sq - thr * p_event
             if prod.degree >= 4 and (len(S) * q) ** 2 <= 2500:
@@ -281,7 +283,7 @@ def rt_reduce(pe: PseudoExpectation, S: Sequence[int], E: EventPoly,
 
     def mi_stats(side: int, prod: ProductPE) -> pot.MIStats:
         return pot.pairwise_mi(LocalDistributionCollection(prod), S, primed=side == 1,
-                               max_pairs=cfg.mi_pair_budget, seed=cfg.seed)
+                               max_pairs=MI_PAIR_BUDGET, seed=cfg.seed)
 
     # both copies are pe, and the primed average of ProductPE(pe, pe) is the
     # unprimed one, so the starting MI is measured once
@@ -289,9 +291,9 @@ def rt_reduce(pe: PseudoExpectation, S: Sequence[int], E: EventPoly,
     mis = [first.average] * 2
     mi_pairs = len(first.values)
     rng = np.random.default_rng(cfg.seed + 1)
-    for _ in range(cfg.tuple_budget):
+    for _ in range(TUPLE_BUDGET):
         side = 0 if mis[0] >= mis[1] else 1
-        if max(mis) <= cfg.tau:
+        if max(mis) <= TAU:
             stop = "tau"
             break
         if mu[side].degree - 2 < 4:
@@ -339,14 +341,14 @@ def rt_reduce(pe: PseudoExpectation, S: Sequence[int], E: EventPoly,
             stop = "no_gain"
             break
     else:
-        stop = "tau" if max(mis) <= cfg.tau else "budget"
+        stop = "tau" if max(mis) <= TAU else "budget"
     if mi_pairs == 0:
         stop = "no_pairs"   # both averages are empty and read 0.0, which passed the tau test
     p_final = ProductPE(mu[0], mu[1]).pE(E.poly)
     record = {"tuples": chosen, "mi_x": mis[0], "mi_xp": mis[1], "mi_pairs": mi_pairs,
               "p_event_before": p0, "p_event_after": p_final,
               "p_floor": p_floor, "floor_kept": p_final >= p_floor / 2 - 1e-12,
-              "stop": stop, "budget_exhausted": stop == "budget", "tau": cfg.tau,
+              "stop": stop, "budget_exhausted": stop == "budget", "tau": TAU,
               "reached_tau": stop == "tau"}
     return mu[0], mu[1], record
 
@@ -366,16 +368,16 @@ def tv_conditioning_check(prod: ProductPE, cond: ProductPE, S: Sequence[int],
     p_bar = cond.z
     pairs = list(itertools.combinations(S, 2))
     rng = np.random.default_rng(cfg.seed + 2)
-    if len(pairs) > cfg.tv_pair_budget:
-        take = rng.choice(len(pairs), size=cfg.tv_pair_budget, replace=False)
+    if len(pairs) > TV_PAIR_BUDGET:
+        take = rng.choice(len(pairs), size=TV_PAIR_BUDGET, replace=False)
         pairs = [pairs[int(t)] for t in take]
     before, after = (pot.y_pair_joints(pe, S, pairs) for pe in (prod, cond))
     tvs = np.asarray([tv_distance(b, a) for b, a in zip(before, after)])
-    frac = float(np.mean(tvs >= cfg.delta)) if len(tvs) else 0.0
+    frac = float(np.mean(tvs >= DELTA)) if len(tvs) else 0.0
     bound = TV_EXCEEDANCE_CONST * (sqrt(max(tau_bar, 0.0)) + 1.0 / len(S)) / (
-        max(p_bar, 1e-12) * cfg.delta ** 2)
+        max(p_bar, 1e-12) * DELTA ** 2)
     return {"fraction_exceeding": frac, "tvs": [float(t) for t in tvs],
-            "delta": cfg.delta, "tau_bar": tau_bar, "p_bar": p_bar,
+            "delta": DELTA, "tau_bar": tau_bar, "p_bar": p_bar,
             "bound": bound, "bound_ok": frac <= bound + 1e-9,
             "could_fail": bool(bound < 1.0),  # the fraction is at most 1
             "constant": TV_EXCEEDANCE_CONST}
@@ -385,22 +387,24 @@ def tv_conditioning_check(prod: ProductPE, cond: ProductPE, S: Sequence[int],
 # SubRound
 
 
-def subround(inst: UGInstance, pe: PseudoExpectation, a: Optional[tuple],
+def subround(inst: UGInstance, pe: PseudoExpectation,
              cfg: RoundingConfig) -> tuple[np.ndarray, dict]:
-    """Pipeline: product -> (find event/subcube) -> rt_reduce -> condition on
+    """Pipeline: product -> find event/subcube -> rt_reduce -> condition on
     the event -> TV check -> symmetrize -> Condition&Round on each copy inside
-    the subcube; returns the better assignment and the full record.  A solved
-    table is shift-invariant and symmetrising it returns it, so when the
-    reduction conditions neither copy (every D = 4 run) the two copies are one
-    object: Condition&Round and Psi run once and fill both copies' entries."""
+    the subcube; returns the better assignment and the full record.  The
+    search always chooses the subcube, so the record's given_a is None.  A
+    solved table is shift-invariant and symmetrising it returns it, so when
+    the reduction conditions neither copy (every D = 4 run) the two copies
+    are one object: Condition&Round and Psi run once and fill both copies'
+    entries."""
     g = inst.graph_tag
     if pe.degree < 4:
         raise ValueError("SubRound needs a degree >= 4 pseudoexpectation")
-    record: dict = {"given_a": None if a is None else list(a)}
+    record: dict = {"given_a": None}
     pe_sym = shift_symmetrize(pe)
     prod0 = product(pe_sym)
     try:
-        a, _, P, diag = find_event_subcube(inst, prod0, cfg) if a is None else (a, 0, None, None)
+        a, _, P, diag = find_event_subcube(inst, prod0, cfg)
     except NoDenseSubcube as err:
         record["no_dense_subcube"] = str(err)
         x = np.zeros(inst.vertex_count, dtype=np.int64)
@@ -408,10 +412,6 @@ def subround(inst: UGInstance, pe: PseudoExpectation, a: Optional[tuple],
         record["subcube"] = []
         return x, record
     S = Subcube(g, a).vertex_ids() if len(a) else list(range(g.num_vertices))
-    if P is None:  # the given subcube's G_0 density, its mass read as the search reads it
-        P = EventPoly(density_poly(inst, S, 0), description=f"density(G_0|{list(a)})")
-        p_event = float(np.trace(pot.z_pair_moments(prod0, S)[..., 0]) / len(S))
-        diag = {"chosen": {"a": list(a), "s": 0, "given": True, "p_event": p_event}}
     record["subcube"] = [int(u) for u in S]
     record["chosen"] = diag["chosen"]
     # the floor handed to the reduction is the measured event mass (the regime
@@ -429,9 +429,8 @@ def subround(inst: UGInstance, pe: PseudoExpectation, a: Optional[tuple],
     record["phi_conditioned"] = {"phi": pot.phi_potential(cond12, S)}
 
     mu1s, mu2s = shift_symmetrize(mu1), shift_symmetrize(mu2)
-    x1, rec1 = condition_and_round(mu1s, inst, scope=S, anchor_budget=cfg.anchor_budget)
-    x2, rec2 = (x1, rec1) if mu2s is mu1s else condition_and_round(
-        mu2s, inst, scope=S, anchor_budget=cfg.anchor_budget)
+    x1, rec1 = condition_and_round(mu1s, inst, scope=S)
+    x2, rec2 = (x1, rec1) if mu2s is mu1s else condition_and_round(mu2s, inst, scope=S)
     v1, v2 = rec1["best_value"], rec2["best_value"]
     x, rec, v = (x1, rec1, v1) if v1 >= v2 else (x2, rec2, v2)
     record["round_copy"] = 0 if v1 >= v2 else 1
@@ -441,10 +440,10 @@ def subround(inst: UGInstance, pe: PseudoExpectation, a: Optional[tuple],
 
     # measured guarantee components (round-j) and the potential-relation check
     gamma_m = record["phi_conditioned"]["phi"]
-    delta_m, zeta_m = cfg.delta, tv_rec["fraction_exceeding"]
-    guarantee = (cfg.beta - cfg.nu) ** 2 * (
+    delta_m, zeta_m = DELTA, tv_rec["fraction_exceeding"]
+    guarantee = (BETA - NU) ** 2 * (
         gamma_m - ROUND_J_CONST * (delta_m + zeta_m) - 1.0 / len(S)) \
-        - 3 * cfg.nu * (cfg.beta - cfg.nu)
+        - 3 * NU * (BETA - NU)
     record["rounding_guarantee"] = {"phi": gamma_m, "delta": delta_m, "zeta": zeta_m,
                          "guarantee": guarantee, "achieved": v,
                          "constant": ROUND_J_CONST,
@@ -452,8 +451,8 @@ def subround(inst: UGInstance, pe: PseudoExpectation, a: Optional[tuple],
                          "could_fail": bool(guarantee > 0.0)}  # the value is at least 0
     psi1 = pot.psi_potential(mu1s, inst, scope=S)
     psi2 = psi1 if mu2s is mu1s else pot.psi_potential(mu2s, inst, scope=S)
-    bn = cfg.beta - cfg.nu
-    rel_rhs = psi1 / (2 * bn ** 2) + psi2 / (2 * bn ** 2) + 3 * cfg.nu / bn \
+    bn = BETA - NU
+    rel_rhs = psi1 / (2 * bn ** 2) + psi2 / (2 * bn ** 2) + 3 * NU / bn \
         + 2 * delta_m + 2 * zeta_m + 1.0 / len(S)
     record["potential_relation"] = {"phi": gamma_m, "psi1": psi1, "psi2": psi2,
                               "rhs": rel_rhs, "slack": rel_rhs - gamma_m,
@@ -476,8 +475,11 @@ def main_algorithm(inst: UGInstance, cfg: RoundingConfig,
     if g is None:
         raise ValueError("main_algorithm needs a Johnson graph tag")
     n = inst.vertex_count
-    trace = RoundingTrace(config={k: (v if not isinstance(v, np.ndarray) else list(v))
-                                  for k, v in asdict(cfg).items()})
+    # the trace echoes the fixed parameters with the config: it says what it ran with
+    trace = RoundingTrace(config=asdict(cfg) | {
+        "beta": BETA, "nu": NU, "tau": TAU, "delta": DELTA, "thr_scale": THR_SCALE,
+        "anchor_budget": ANCHOR_BUDGET, "tuple_budget": TUPLE_BUDGET,
+        "mi_pair_budget": MI_PAIR_BUDGET, "tv_pair_budget": TV_PAIR_BUDGET})
     current = inst
     covered: set[int] = set()
     labels = np.full(n, -1, dtype=np.int64)
@@ -487,7 +489,7 @@ def main_algorithm(inst: UGInstance, cfg: RoundingConfig,
         j += 1
         rel = sos.relax(current, cfg.degree)
         pe = sos.solve(rel, seed=cfg.seed + j)
-        x_sub, rec = subround(current, pe, None, cfg)
+        x_sub, rec = subround(current, pe, cfg)
         rec["iteration"] = j
         rec["solver"] = pe.solve_info
         if rec.get("no_dense_subcube"):

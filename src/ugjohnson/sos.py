@@ -8,14 +8,15 @@ annihilation, and the partition axioms hold identically; the SDP itself runs
 over the shift-invariant Fourier moments and is mapped back to it.  Every
 value the library reads, `pE` of a polynomial or a local joint, is gathered
 from the single copies' full-label moment arrays; each class's scalar
-`moment` is the uncached reference.  `validate` checks only what a table can
-break: scaling, PSD-ness of the reduced-basis moment matrix and every pair
-marginal's nonnegativity.
+`moment` is the uncached reference.  `validate` checks only what a single
+copy can break: scaling, PSD-ness of the reduced-basis moment matrix and every
+pair marginal's nonnegativity.
 
 Product pseudoexpectations support per-side degree up to D (the Kronecker
 product of two PSD moment matrices is PSD, so squares of polynomials with
-per-side degree <= D/2 stay nonnegative); conditioning multiplies in event
-polynomials and is the reweighting operation of the framework.
+per-side degree <= D/2 stay nonnegative, and a product is valid when its
+factors are); conditioning multiplies in event polynomials and is the
+reweighting operation of the framework.
 """
 
 from __future__ import annotations
@@ -472,33 +473,6 @@ class ProductPE(PseudoExpectation):
             event = EventPoly(poly_mul(self.event.poly, event.poly), event.provenance,
                               f"{self.event.description} & {event.description}")
         return ProductPE(self.pe1, self.pe2, event)
-
-    def marginal_pe(self, copy: int) -> PseudoExpectation:
-        return ProductMarginalPE(self, copy)
-
-
-class ProductMarginalPE(PseudoExpectation):
-    """Single-copy view of one side of a (possibly conditioned) product."""
-
-    def __init__(self, prod: ProductPE, copy: int):
-        self.prod, self.copy = prod, copy
-        self.q, self.n_vertices = prod.q, prod.n_vertices
-        self.mode = "single"
-
-    @property
-    def degree(self) -> int:
-        return self.prod.side_degree(self.copy)
-
-    def moment(self, m: Monomial) -> float:
-        if m is ZERO:
-            return 0.0
-        return self.prod.moment(tuple((self.copy, u, a) for (_, u, a) in m))
-
-    def _fill_label_moments(self, d: int) -> list[np.ndarray]:
-        """The product's joints over every k-subset on this copy, none on the other."""
-        n = self.n_vertices
-        sides = [(_combinations(n, k), [()] * math.comb(n, k)) for k in range(d + 1)]
-        return [self.prod.joint(*(s if self.copy == 0 else s[::-1])) for s in sides]
 
 
 def product(pe: PseudoExpectation) -> ProductPE:
@@ -978,54 +952,36 @@ def solve(relaxation: Relaxation, seed: int = 0) -> SolvedPE:
 # validation
 
 
-_INVARIANTS = ("scaling_residual", "psd", "marginal_nonneg")
-
-
 def validate(pe: PseudoExpectation) -> dict:
     """Scaling pE[1] = 1, PSD of the moment matrix and nonnegativity of every
-    pair marginal: the checks a table can fail.  Booleanity and partition need
+    pair marginal of one single copy: the checks a table can fail.  A product
+    raises ValueError: validate its factors instead, as the Kronecker product
+    of two PSD moment matrices is PSD.  Booleanity and partition need
     none, as _class_index merges X^2 = X before any read and a label-0 moment is
     the degree below minus labels >= 1.  That partition also makes the
     full-label moment matrix A M A^T for a 0/+-1 matrix A, where M is the
     reduced-basis matrix (labels >= 1), itself a principal submatrix of the
     full one: one is PSD exactly when the other is, and M's smallest eigenvalue
     is the larger.  So M, over degree <= min(D/2, 3) (D = 6 is the largest
-    relaxation solved), is the one matrix read.  A product is checked on both
-    marginals: each entry reports the worse copy, and an invariant fails when
-    it fails on either.  rep["failed"] names the invariants that do not hold;
-    rep["ok"] is true when it is empty."""
+    relaxation solved), is the one matrix read.  rep["failed"] names the
+    invariants that do not hold; rep["ok"] is true when it is empty."""
+    if pe.mode != "single":
+        raise ValueError("validate checks one copy: validate the product's factors")
     rep: dict = {"mode": pe.mode, "degree": pe.degree}
     rep["scaling_residual"] = abs(pe.pE({ONE: 1.0}) - 1.0)
-    failed = set() if rep["scaling_residual"] <= 1e-6 else {"scaling_residual"}
-    targets = ([pe] if pe.mode == "single"
-               else [pe.marginal_pe(0), pe.marginal_pe(1)])  # type: ignore[attr-defined]
-    for target in targets:
-        part, part_failed = _single_copy_checks(target)
-        failed |= part_failed
-        for key, val in part.items():
-            rep[key] = _worse(key, rep[key], val) if key in rep else val
-    rep["failed"] = [name for name in _INVARIANTS if name in failed]
+    h = min(pe.degree // 2, 3)
+    M = pe.reduced_moments(2 * h)[product_table(pe.n_vertices, pe.q, h)]
+    rep["min_eig"] = float(np.linalg.eigvalsh(M).min())
+    rep["moment_matrix_side"] = len(M)
+    # every pair marginal, at every label pair
+    pairs = pe.label_moments(2)[2] if pe.degree >= 2 else ()
+    rep["marginal_min_entry"] = float(np.min(pairs, initial=0.0))
+    holds = {"scaling_residual": rep["scaling_residual"] <= 1e-6,
+             "psd": rep["min_eig"] >= -TOL_PSD,
+             "marginal_nonneg": rep["marginal_min_entry"] >= -1e-6}
+    rep["failed"] = [name for name, ok in holds.items() if not ok]
     rep["ok"] = not rep["failed"]
     return rep
-
-
-def _worse(key: str, a, b):
-    """The worse of two copies' report entries."""
-    return min(a, b) if key in ("min_eig", "marginal_min_entry") else max(a, b)
-
-
-def _single_copy_checks(target: PseudoExpectation) -> tuple[dict, set]:
-    """validate's checks on one single-copy pseudoexpectation: its report
-    entries and the names of the invariants that fail on it."""
-    h = min(target.degree // 2, 3)
-    M = target.reduced_moments(2 * h)[product_table(target.n_vertices, target.q, h)]
-    rep = {"min_eig": float(np.linalg.eigvalsh(M).min()), "moment_matrix_side": len(M)}
-    # every pair marginal, at every label pair
-    pairs = target.label_moments(2)[2] if target.degree >= 2 else ()
-    rep["marginal_min_entry"] = float(np.min(pairs, initial=0.0))
-    holds = {"psd": rep["min_eig"] >= -TOL_PSD,
-             "marginal_nonneg": rep["marginal_min_entry"] >= -1e-6}
-    return rep, {name for name, ok in holds.items() if not ok}
 
 
 def clamp_distribution(vec: np.ndarray, policy: float = CLAMP_NEG) -> np.ndarray:

@@ -8,7 +8,7 @@ from math import sqrt
 
 import numpy as np
 
-from ugjohnson import potentials as pot
+from ugjohnson import potentials as pot, rounding
 from ugjohnson.johnson import Subcube
 from ugjohnson.monomials import ONE, EventPoly, poly_add, poly_mul
 from ugjohnson.rounding import THETA, NoDenseSubcube
@@ -31,7 +31,7 @@ def find_event_subcube(inst, prod, cfg):
             for s in range(q):
                 dens = density_poly(inst, sub_ids, s)
                 if cfg.regime == "close_to_1":
-                    thr = cfg.thr_scale * np.exp(-cfg.r)
+                    thr = rounding.THR_SCALE * np.exp(-cfg.r)
                     if side_budget >= 4 and len(dens) ** 2 <= 2500:
                         event_poly = poly_mul(dens, dens)
                         event_kind = "density_squared"

@@ -227,8 +227,7 @@ def test_criterion_07_information_suite():
     B = rng.integers(0, 2, 10)
     pe = sos.shift_symmetrize(sos.mixture(
         [(sos.from_assignment(A, 2), 0.5), (sos.from_assignment(B, 2), 0.5)]))
-    cfg = RoundingConfig.for_instance(inst, eps=0.0, degree=4, tau=0.01,
-                                      tuple_budget=8)
+    cfg = RoundingConfig.for_instance(inst, eps=0.0, degree=4)
     mu1, mu2, rec = rt_reduce(pe, range(10), EventPoly({ONE: 1.0}),
                               cfg, p_floor=1.0)
     rt_ok = (rec["reached_tau"] and max(rec["mi_x"], rec["mi_xp"]) <= 0.01

@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ugjohnson import johnson, sos, ug_core
+from ugjohnson import johnson, rounding, sos, ug_core
 from ugjohnson.monomials import ZERO, EventPoly, canon, mul, poly_mul, poly_sum, var
 from ugjohnson.potentials import psi_potential
 from ugjohnson.rounding import condition_and_round
@@ -73,11 +73,9 @@ def _singles():
     rng = np.random.default_rng(3)
     dist = sos.mixture([(sos.from_assignment(rng.integers(0, 3, 6), 3), w)
                         for w in (0.5, 0.3, 0.2)])
-    prod = sos.ProductPE(sos.ShiftSymmetrizedPE(d6), d6).condition(EventPoly(_density([0, 2, 4], 1, 2)))
     return {"solved_d4": d4, "solved_d6": d6, "shift_symmetrized": sos.ShiftSymmetrizedPE(d4),
             "conditioned": sos.ConditionedPE(d6, EventPoly({mul(var(0, 0), var(1, 1)): 1.0})),
-            "distribution": dist, "marginal_0": prod.marginal_pe(0),
-            "marginal_1": prod.marginal_pe(1)}
+            "distribution": dist}
 
 
 SINGLES = _singles()
@@ -135,12 +133,15 @@ def _psi_cases(ipm_521, mixture_521):
     cond = sos.condition(sos.ShiftSymmetrizedPE(solved6), EventPoly({mul(var(0, 0), var(1, 1)): 1.0}))
     assert isinstance(cond, sos.ConditionedPE) and cond.degree == 4
     return {"ipm": (pe, None), "ipm_symmetrized": (sos.ShiftSymmetrizedPE(pe), None),
-            "subset_scope": (sos.shift_symmetrize(pe), sub), "degree6_conditioned": (cond, None),
+            "subset_scope": (sos.shift_symmetrize(pe), sub),
+            "ipm_symmetrized_subset": (sos.ShiftSymmetrizedPE(pe), sub),
+            "degree6_conditioned": (cond, None),
             "support_mixture": (mix, None), "mixture_subset": (mix, sub)}, inst
 
 
 @pytest.mark.parametrize("name", ["ipm", "ipm_symmetrized", "subset_scope",
-                                  "degree6_conditioned", "support_mixture", "mixture_subset"])
+                                  "ipm_symmetrized_subset", "degree6_conditioned",
+                                  "support_mixture", "mixture_subset"])
 def test_psi_equals_the_scalar_loop(name, ipm_521, mixture_521):
     cases, inst = _psi_cases(ipm_521, mixture_521)
     pe, scope = cases[name]
@@ -178,11 +179,13 @@ def test_condition_and_round_equals_the_scalar_loop(name, ipm_521, mixture_521, 
     assert np.array_equal(x, want_x) and rec["anchors"] == want_rows
 
 
-def test_condition_and_round_without_an_anchor_raises(ipm_521):
+def test_condition_and_round_without_an_anchor_raises(ipm_521, monkeypatch):
     inst, pe = ipm_521
-    for kw in ({"anchor_budget": 0}, {"scope": []}):
-        with pytest.raises(sos.NearZeroEvent):
-            condition_and_round(pe, inst, **kw)
+    with pytest.raises(sos.NearZeroEvent):
+        condition_and_round(pe, inst, scope=[])
+    monkeypatch.setattr(rounding, "ANCHOR_BUDGET", 0)
+    with pytest.raises(sos.NearZeroEvent):
+        condition_and_round(pe, inst)
 
 
 @pytest.mark.parametrize("n, q, D", [(10, 2, 6), (15, 3, 4), (6, 4, 4), (7, 2, 2)])
@@ -197,15 +200,16 @@ def test_reduced_tables_equal_the_class_loops(n, q, D):
 
 
 def test_validate_probes_read_pE_on_products_and_marginals(ipm_521):
+    # a product is refused; its marginals, the factors, are validated one by one
     _, pe = ipm_521
-    prod = sos.ProductPE(sos.shift_symmetrize(pe), pe)
-    for target in (pe, prod, prod.marginal_pe(1)):
+    prod = sos.ProductPE(sos.ShiftSymmetrizedPE(pe), pe)
+    with pytest.raises(ValueError, match="factors"):
+        sos.validate(prod)
+    for target in (prod.pe1, prod.pe2):
         rep = sos.validate(target)
         assert rep["ok"], rep
         assert rep["scaling_residual"] <= 1e-12
-        copies = [target] if target.mode == "single" else [prod.marginal_pe(c) for c in (0, 1)]
-        lowest = min(float(c.label_moments(2)[2].min()) for c in copies)
-        assert rep["marginal_min_entry"] == min(0.0, lowest)
+        assert rep["marginal_min_entry"] == min(0.0, float(target.label_moments(2)[2].min()))
 
 
 def test_tuple_moments_repeat_and_annihilate():

@@ -62,7 +62,7 @@ def test_cr_scoped(planted421):
 def test_rt_reduce_independent_needs_no_tuples(planted421):
     g, inst, _ = planted421
     peU = sos.SolvedPE(6, 2, 4, sos.uniform_reduced_table(6, 2, 4))
-    cfg = RoundingConfig.for_instance(inst, eps=0.0, degree=4, tau=0.01)
+    cfg = RoundingConfig.for_instance(inst, eps=0.0, degree=4)
     E = EventPoly({ONE: 1.0})
     mu1, mu2, rec = rt_reduce(peU, range(6), E, cfg, p_floor=1.0)
     assert rec["tuples"] == []
@@ -82,7 +82,7 @@ def test_rt_reduce_without_disjoint_pairs_measures_nothing(planted421):
     assert not rec["reached_tau"] and not rec["budget_exhausted"]
     # six vertices hold 45 disjoint pairs of pairs, of which the budget samples 30
     _, _, rec = rt_reduce(pe, range(6), EventPoly({ONE: 1.0}), cfg, 1.0)
-    assert rec["mi_pairs"] == cfg.mi_pair_budget == 30
+    assert rec["mi_pairs"] == rounding.MI_PAIR_BUDGET == 30
     assert rec["stop"] == "degree"
 
 
@@ -93,8 +93,7 @@ def test_rt_reduce_two_cluster_mixture():
     B = rng.integers(0, 2, 10)
     pe = sos.shift_symmetrize(sos.mixture(
         [(sos.from_assignment(A, 2), 0.5), (sos.from_assignment(B, 2), 0.5)]))
-    cfg = RoundingConfig.for_instance(inst, eps=0.0, degree=4, tau=0.01,
-                                      tuple_budget=8)
+    cfg = RoundingConfig.for_instance(inst, eps=0.0, degree=4)
     E = EventPoly({ONE: 1.0})
     mu1, mu2, rec = rt_reduce(pe, range(10), E, cfg, p_floor=1.0)
     assert rec["reached_tau"], rec
@@ -104,13 +103,14 @@ def test_rt_reduce_two_cluster_mixture():
     assert len(rec["tuples"]) >= 1
 
 
-def test_rt_reduce_respects_event_floor(planted421):
+def test_rt_reduce_respects_event_floor(planted421, monkeypatch):
     g, inst, A = planted421
     pe = sos.shift_symmetrize(sos.from_assignment(A, 2))
     dens = density_poly(inst, list(range(6)), 0)
     E = EventPoly(dens, description="delta(G_0)")
-    cfg = RoundingConfig.for_instance(inst, eps=0.0, degree=4, tau=1e-6,
-                                      tuple_budget=4)
+    monkeypatch.setattr(rounding, "TAU", 1e-6)
+    monkeypatch.setattr(rounding, "TUPLE_BUDGET", 4)
+    cfg = RoundingConfig.for_instance(inst, eps=0.0, degree=4)
     mu1, mu2, rec = rt_reduce(pe, range(6), E, cfg, p_floor=0.5)
     assert rec["p_event_after"] >= 0.25 - 1e-9
     assert rec["floor_kept"]
@@ -132,19 +132,20 @@ def test_rt_reduce_at_degree_4_stops_on_the_degree_not_the_budget(planted421):
     pe = sos.shift_symmetrize(sos.solve(sos.relax(inst, 4)))
     cfg = RoundingConfig.for_instance(inst, eps=0.0, degree=4)
     _, _, rec = rt_reduce(pe, range(6), EventPoly({ONE: 1.0}), cfg, 1.0)
-    assert max(rec["mi_x"], rec["mi_xp"]) > cfg.tau and rec["tuples"] == []
+    assert max(rec["mi_x"], rec["mi_xp"]) > rounding.TAU and rec["tuples"] == []
     assert rec["stop"] == "degree" and not rec["budget_exhausted"]
 
 
-def test_rt_reduce_that_spends_its_budget_says_so():
+def test_rt_reduce_that_spends_its_budget_says_so(monkeypatch):
     # degree 6 with one tuple allowed: one copy is conditioned, and the other
     # keeps its 1 bit of pairwise MI when the budget runs out
     g = johnson.build(5, 2, 0.5)
     inst, A = ug_core.plant(g, 2, ug_core.PlantedSpec(0.3, 16))
-    cfg = RoundingConfig.for_instance(inst, eps=0.3, degree=6, tuple_budget=1)
-    _, rec = subround(inst, sos.solve(sos.relax(inst, 6)), None, cfg)
+    monkeypatch.setattr(rounding, "TUPLE_BUDGET", 1)
+    cfg = RoundingConfig.for_instance(inst, eps=0.3, degree=6)
+    _, rec = subround(inst, sos.solve(sos.relax(inst, 6)), cfg)
     rt = rec["rt_reduce"]
-    assert len(rt["tuples"]) == 1 and max(rt["mi_x"], rt["mi_xp"]) > cfg.tau
+    assert len(rt["tuples"]) == 1 and max(rt["mi_x"], rt["mi_xp"]) > rounding.TAU
     assert rt["stop"] == "budget" and rt["budget_exhausted"]
 
 
@@ -182,12 +183,13 @@ def test_find_event_perturbed_subcube_structure():
     assert diag["chosen"]["score"] > 0
 
 
-def test_find_event_no_dense_subcube():
+def test_find_event_no_dense_subcube(monkeypatch):
     g = johnson.build(4, 2, 0.5)
     inst, A = ug_core.plant(g, 2, ug_core.PlantedSpec(0.0, 1))
     pe = sos.from_assignment(A, 2)
     cfg = RoundingConfig.for_instance(inst, eps=0.0, degree=4)
-    cfg.thr_scale = 2.0  # density can never exceed 2: every score goes negative
+    # density can never exceed 2: every score goes negative
+    monkeypatch.setattr(rounding, "THR_SCALE", 2.0)
     with pytest.raises(NoDenseSubcube):
         find_event_subcube(inst, sos.product(sos.shift_symmetrize(pe)), cfg)
 
@@ -201,7 +203,7 @@ def _tau_bar(prod, S, cfg):
     rt_reduce measures them (same budget and seed)."""
     coll = LocalDistributionCollection(prod)
     return max(pairwise_mi(coll, [int(u) for u in S], primed=primed,
-                           max_pairs=cfg.mi_pair_budget, seed=cfg.seed).average
+                           max_pairs=rounding.MI_PAIR_BUDGET, seed=cfg.seed).average
                for primed in (False, True))
 
 
@@ -217,7 +219,7 @@ def test_tv_trivial_event_moves_nothing(planted421):
     assert rep["bound_ok"]
 
 
-def test_tv_correlating_event_matches_exhaustive():
+def test_tv_correlating_event_matches_exhaustive(monkeypatch):
     g = johnson.build(4, 2, 0.5)
     inst, A = ug_core.plant(g, 2, ug_core.PlantedSpec(0.0, 5))
     B = (A + 1) % 2  # the other shift class: product support has 4 cells
@@ -226,14 +228,14 @@ def test_tv_correlating_event_matches_exhaustive():
     prod = sos.ProductPE(pe, pe)
     E = EventPoly(density_poly(inst, list(range(6)), 0), description="delta(G_0)")
     cfg = RoundingConfig.for_instance(inst, eps=0.0, degree=8)
-    cfg.tv_pair_budget = 100
+    monkeypatch.setattr(rounding, "TV_PAIR_BUDGET", 100)
     rep = tv_conditioning_check(prod, prod.condition(E), range(6), cfg,
                                 _tau_bar(prod, range(6), cfg))
     # exhaustive recomputation on the explicit support: conditioning on G_0
     # density keeps only equal-assignment pairs, TV = 1/2 for every (u, v)
     for t in rep["tvs"]:
         assert t == pytest.approx(0.5)
-    expected_frac = 1.0 if 0.5 >= cfg.delta else 0.0
+    expected_frac = 1.0 if 0.5 >= rounding.DELTA else 0.0
     assert rep["fraction_exceeding"] == expected_frac
 
 
@@ -245,24 +247,10 @@ def test_subround_planted_full_value(planted421):
     g, inst, A = planted421
     pe = sos.from_assignment(A, 2)
     cfg = RoundingConfig.for_instance(inst, eps=0.0, degree=4)
-    x, rec = subround(inst, pe, None, cfg)
+    x, rec = subround(inst, pe, cfg)
     assert rec["value"] == 1.0
     assert rec["rounding_guarantee"]["ok"]
     assert rec["potential_relation"]["ok"]
-
-
-def test_subround_given_a_matches_condition_and_round(planted421):
-    g, inst, A = planted421
-    pe = sos.from_assignment(A, 2)
-    cfg = RoundingConfig.for_instance(inst, eps=0.0, degree=4)
-    x1, rec = subround(inst, pe, (), cfg)
-    pe_sym = sos.shift_symmetrize(pe)
-    x2, _ = condition_and_round(pe_sym, inst)
-    assert ug_core.value(inst, x1) == ug_core.value(inst, x2)
-    # the given event's mass is read from the Z-moments, as the search reads it
-    p = sos.product(pe_sym).pE(density_poly(inst, range(6), 0))
-    assert rec["chosen"]["p_event"] == pytest.approx(p, abs=1e-12)
-    assert rec["rt_reduce"]["p_floor"] == pytest.approx(p * (1 - 1e-9), abs=1e-12)
 
 
 def test_subround_adversarial_no_crash():
@@ -270,7 +258,7 @@ def test_subround_adversarial_no_crash():
     inst, A = ug_core.plant(g, 2, ug_core.PlantedSpec(1.0, 13))
     pe = sos.solve(sos.relax(inst, 4))
     cfg = RoundingConfig.for_instance(inst, eps=1.0, degree=4, seed=3)
-    x, rec = subround(inst, pe, None, cfg)
+    x, rec = subround(inst, pe, cfg)
     assert rec["value"] >= 0.0
     assert rec["rounding_guarantee"]["ok"] and rec["potential_relation"]["ok"]
     # the TV check's tau_bar is the correlation the reduction left
@@ -374,7 +362,7 @@ def test_main_algorithm_planted(planted421):
     assert json.loads(trace.to_json())["records"][0]["chosen"]["floor_ok"] is True
 
 
-def test_subround_checks_say_whether_they_could_fail(planted421):
+def test_subround_checks_say_whether_they_could_fail(planted421, monkeypatch):
     g, inst, A = planted421
     cfg = RoundingConfig.for_instance(inst, eps=0.0, degree=4, seed=0)
     _, trace = main_algorithm(inst, cfg, witness=A)
@@ -389,7 +377,7 @@ def test_subround_checks_say_whether_they_could_fail(planted421):
     # the TV bound drops below 1 on a large scope with no MI left and delta = 1
     pe = sos.from_assignment(np.zeros(20, dtype=np.int64), 2)
     prod = sos.ProductPE(pe, pe)
-    cfg.delta = 1.0
+    monkeypatch.setattr(rounding, "DELTA", 1.0)
     rep = tv_conditioning_check(prod, prod.condition(EventPoly({ONE: 1.0})), range(20), cfg, 0.0)
     assert rep["bound"] == pytest.approx(16 / 20) and rep["could_fail"] and rep["bound_ok"]
 
@@ -438,7 +426,7 @@ def test_main_algorithm_multi_iteration_accounting(monkeypatch):
     assert all(x[u] >= 0 for u in range(10))
 
 
-def test_tv_event_on_disjoint_vertices_moves_nothing():
+def test_tv_event_on_disjoint_vertices_moves_nothing(monkeypatch):
     # coordinate-independent product with an event touching other vertices:
     # the local joints of untouched pairs stay exactly put
     g = johnson.build(5, 2, 0.5)
@@ -448,7 +436,7 @@ def test_tv_event_on_disjoint_vertices_moves_nothing():
     # event on vertices {8, 9} only
     E = EventPoly({mul(var(8, 0), var(9, 1)): 1.0})
     cfg = RoundingConfig.for_instance(inst, eps=0.5, degree=4)
-    cfg.tv_pair_budget = 50
+    monkeypatch.setattr(rounding, "TV_PAIR_BUDGET", 50)
     rep = tv_conditioning_check(prod, prod.condition(E), range(6), cfg,
                                 _tau_bar(prod, range(6), cfg))
     assert max(rep["tvs"]) <= 1e-12
@@ -464,7 +452,7 @@ def test_low_completeness_regime_subround():
     c = pe.value(inst) * 0.9
     cfg = RoundingConfig.low_completeness(inst, c=c, degree=4, seed=4)
     assert cfg.regime == "low_completeness" and cfg.r >= 1
-    x, rec = subround(inst, pe, None, cfg)
+    x, rec = subround(inst, pe, cfg)
     assert rec["value"] >= 0.0
     assert rec["rounding_guarantee"]["ok"]
     assert rec["potential_relation"]["ok"]
@@ -474,10 +462,21 @@ def test_low_completeness_regime_subround():
 def test_config_validation():
     with pytest.raises(ValueError):
         RoundingConfig(regime="bogus")
-    with pytest.raises(ValueError):
-        RoundingConfig(nu=0.5, beta=0.3)
-    with pytest.raises(ValueError):
-        RoundingConfig(tau=-1.0)
+
+
+def test_trace_config_echoes_the_fixed_parameters(planted421):
+    # the seven settable fields and SubRound's nine fixed parameters, at the
+    # values every trace has recorded
+    g, inst, A = planted421
+    cfg = RoundingConfig.for_instance(inst, eps=0.0, degree=4, seed=0)
+    _, trace = main_algorithm(inst, cfg, witness=A)
+    fixed = {"beta": 0.3, "nu": 0.1, "tau": 0.01, "delta": 0.2, "thr_scale": 0.5,
+             "anchor_budget": 32, "tuple_budget": 8, "mi_pair_budget": 30,
+             "tv_pair_budget": 30}
+    assert json.loads(trace.to_json())["config"] == {
+        "regime": "close_to_1", "eps": 0.0, "c": 0.5, "r": 0, "gamma": 0.05,
+        "degree": 4, "seed": 0, **fixed}
+    assert {k: getattr(rounding, k.upper()) for k in fixed} == fixed
 
 
 def test_product_conditioning_near_zero_event(planted421):
@@ -489,10 +488,11 @@ def test_product_conditioning_near_zero_event(planted421):
         prod.condition(dead)
 
 
-def test_main_algorithm_stalls_gracefully_on_no_dense_subcube(planted421):
+def test_main_algorithm_stalls_gracefully_on_no_dense_subcube(planted421, monkeypatch):
     g, inst, A = planted421
     cfg = RoundingConfig.for_instance(inst, eps=0.0, degree=4, seed=6)
-    cfg.thr_scale = 2.0  # unreachable density threshold: all scores negative
+    # unreachable density threshold: all scores negative
+    monkeypatch.setattr(rounding, "THR_SCALE", 2.0)
     x, trace = main_algorithm(inst, cfg, witness=A)
     assert len(trace.records) == 1
     assert trace.records[0].get("stalled")

@@ -109,17 +109,19 @@ def test_validate_reads_every_pair_marginal():
         assert rep["marginal_min_entry"] == pytest.approx(-0.1)
 
 
-def test_validate_checks_both_copies_of_a_product(j421_solved):
+def test_validate_refuses_a_product_and_checks_its_factors(j421_solved):
+    # a product, conditioned or not, is valid when its factors are, and the
+    # factors are what validate reads
     _, _, _, pe = j421_solved
     y = pe.y.copy()
     y[1] += 1.0  # the first degree-1 class
     bad = sos.SolvedPE(pe.n_vertices, pe.q, pe.degree, y)
-    assert validate(sos.ProductPE(pe, pe))["ok"]
-    alone = validate(bad)
-    for prod in (sos.ProductPE(pe, bad), sos.ProductPE(bad, pe)):
-        rep = validate(prod)
-        assert not rep["ok"] and "psd" in rep["failed"], rep
-        assert rep["min_eig"] == pytest.approx(alone["min_eig"], abs=1e-12)
+    event = EventPoly({mul(var(0, 0), var(0, 0, 1)): 1.0})
+    for prod in (sos.ProductPE(pe, pe), sos.ProductPE(pe, pe).condition(event),
+                 sos.ProductPE(pe, bad)):
+        with pytest.raises(ValueError, match="factors"):
+            validate(prod)
+    assert validate(pe)["ok"] and "psd" in validate(bad)["failed"]
 
 
 def _planted(n, q, eps, seed):
@@ -500,10 +502,9 @@ def test_validate_measures_every_copy_of_a_large_table():
     bad = sos.SolvedPE(n, q, D, _raised(good.y, n, q, 4))
     alone = validate(bad)
     assert "psd" in alone["failed"], alone
-    for wrapped in (sos.ProductPE(bad, good), sos.ShiftSymmetrizedPE(bad)):
-        rep = validate(wrapped)
-        assert "psd" in rep["failed"] and rep["min_eig"] < -sos.TOL_PSD, rep
-        assert rep["moment_matrix_side"] == 1 + 21 * 2 + 210 * 4
+    rep = validate(sos.ShiftSymmetrizedPE(bad))
+    assert "psd" in rep["failed"] and rep["min_eig"] < -sos.TOL_PSD, rep
+    assert rep["moment_matrix_side"] == 1 + 21 * 2 + 210 * 4
 
 
 # --------------------------------------------------------------------------
