@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Write the standard set of rounding traces that a performance change is
 diffed on: one RoundingTrace.to_json file per run, named after the run.
+It runs BLAS on one thread.  tests/traces holds the set at the current
+commit, and tests/test_traces.py checks the script against it.
 
 - e2e_q{q}_eps{eps}.json: the six main_algorithm runs of the acceptance
   end-to-end fixture on J(8,2,1), q in {2, 3}, eps in {0, 0.05, 1}, with the
@@ -19,10 +21,9 @@ Example:
 """
 
 import argparse
+import os
 import time
 from pathlib import Path
-
-from ugjohnson import johnson, rounding, ug_core
 
 
 def runs() -> list[tuple]:
@@ -41,6 +42,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # one BLAS thread, set before numpy loads, as the benchmark runner does: the
+    # IPM-backed traces move by about 1e-7 (relative) with the thread count
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    from ugjohnson import johnson, rounding, ug_core
+
     for name, n, q, eps, D, plant_seed, seed in runs():
         t0 = time.perf_counter()
         inst, A = ug_core.plant(johnson.build(n, 2, 0.5), q, ug_core.PlantedSpec(eps, plant_seed))

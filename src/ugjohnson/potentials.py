@@ -5,7 +5,9 @@ Exact (integral-pair) variants, step-weighted ones included, are used
 wherever the object of study is a concrete pair of assignments.  The
 pseudoexpectation variants (plain Phi, Psi and the local joints) read every
 pseudoexpectation, a distribution's included, through the same label-moment
-gathers, and raise DegreeExhausted where the degree cannot fit them.
+gathers, and raise DegreeExhausted where the degree cannot fit them.  Local
+joints are read in batches, one vertex tuple per copy and row, as
+ProductPE.joint takes them, and each row is clamped to a distribution.
 """
 
 from __future__ import annotations
@@ -300,38 +302,25 @@ def psi_potential(pe: PseudoExpectation, inst: UGInstance,
 # local distributions
 
 
-Slot = tuple[str, int]  # ("X"|"Xp", vertex)
-
-
 @dataclass
 class LocalDistributionCollection:
-    """Joint distributions over tuples of X- and X'-slots of a product
-    pseudoexpectation, each gathered from its label moments by ProductPE.joint
-    and clamped; DegreeExhausted when a side's slots exceed its degree."""
+    """The local distributions of a product pseudoexpectation: joint(V0, V1)
+    is prod.joint(V0, V1), a batch of one vertex tuple per copy, with each
+    joint clamped.  It is a class only so that the benchmark tracer can count
+    the batches read by patching joint."""
     prod: ProductPE
 
-    def joint(self, slots: tuple[Slot, ...]) -> np.ndarray:
-        V = [tuple(u for k, u in slots if k == kind) for kind in ("X", "Xp")]
-        arr = self.prod.joint((V[0],), (V[1],))[0]
-        arr = clamp_distribution(arr.ravel()).reshape(arr.shape)
-        # the joint's axes run over the X-slots, then the X'-slots
-        return arr.transpose(np.argsort([k == "Xp" for k, _ in slots], kind="stable"))
-
-
-def y_slots(u: int, v: int, primed: bool) -> tuple[Slot, ...]:
-    """Slots of Y_{u,v} = (X_u, X_v) (or the primed copy)."""
-    xs = "Xp" if primed else "X"
-    return ((xs, u), (xs, v))
+    def joint(self, V0: Sequence[Sequence[int]], V1: Sequence[Sequence[int]]) -> np.ndarray:
+        return clamp_distribution(self.prod.joint(V0, V1))
 
 
 def y_pair_joints(prod: ProductPE, S: Sequence[int],
-                  pairs: Sequence[tuple[int, int]]) -> list[np.ndarray]:
+                  pairs: Sequence[tuple[int, int]]) -> np.ndarray:
     """The (Y_{u,v}, Y'_{u,v}) joint of each pair (u, v) of vertices of S: the
     slice J[u, v] of prod.pair_joints(S), clamped as every local joint is."""
-    J = prod.pair_joints(S)
     pos = {u: k for k, u in enumerate(S)}
-    return [clamp_distribution(J[pos[u], pos[v]].ravel()).reshape(J.shape[2:])
-            for u, v in pairs]
+    ij = np.asarray([(pos[u], pos[v]) for u, v in pairs], dtype=np.int64).reshape(-1, 2)
+    return clamp_distribution(prod.pair_joints(S)[ij[:, 0], ij[:, 1]])
 
 
 @lru_cache(maxsize=16)
@@ -359,7 +348,9 @@ class MIStats:
 
 def pairwise_mi(coll: LocalDistributionCollection, S: Sequence[int],
                 primed: bool = False, max_pairs: int = 40, seed: int = 0) -> MIStats:
-    """Average and max of I(Y_{u1,v1}; Y_{u2,v2}) over sampled disjoint pairs.
+    """Average and max of I(Y_{u1,v1}; Y_{u2,v2}) over sampled disjoint pairs,
+    read as one batch of four-vertex joints of one copy (the primed one when
+    primed); with no disjoint pairs (|S| < 4) nothing is read and both are 0.
 
     Pairs sharing a vertex are excluded: their mutual information is H of the
     shared coordinate no matter how uncorrelated the distribution is, and the
@@ -370,15 +361,11 @@ def pairwise_mi(coll: LocalDistributionCollection, S: Sequence[int],
     pairs = list(itertools.combinations(S, 2))
     combos = _disjoint_pair_indices(len(S))
     if len(combos) > max_pairs:
-        take = rng.choice(len(combos), size=max_pairs, replace=False)
-        combos = [combos[int(t)] for t in take]
-    vals, used = [], []
-    for (k1, k2) in combos:
-        (u1, v1), (u2, v2) = pairs[k1], pairs[k2]
-        arr = coll.joint(y_slots(u1, v1, primed) + y_slots(u2, v2, primed))
-        val = mutual_information(arr, (0, 1), (2, 3))
-        vals.append(max(val, 0.0))
-        used.append(((u1, v1), (u2, v2)))
-    avg = float(np.mean(vals)) if vals else 0.0
-    mx = float(np.max(vals)) if vals else 0.0
-    return MIStats(used, vals, avg, mx)
+        combos = combos[rng.choice(len(combos), size=max_pairs, replace=False)]
+    used = [(pairs[k1], pairs[k2]) for k1, k2 in combos.tolist()]
+    if not used:
+        return MIStats([], [], 0.0, 0.0)
+    V, blank = [p1 + p2 for p1, p2 in used], [()] * len(used)
+    J = coll.joint(blank, V) if primed else coll.joint(V, blank)
+    vals = [max(mutual_information(j, (0, 1), (2, 3)), 0.0) for j in J]
+    return MIStats(used, vals, float(np.mean(vals)), float(np.max(vals)))

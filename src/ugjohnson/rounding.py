@@ -76,22 +76,20 @@ class RoundingConfig:
     def for_instance(inst: UGInstance, eps: float = 0.0, degree: int = 4,
                      seed: int = 0) -> "RoundingConfig":
         g = inst.graph_tag
-        alpha = g.alpha if g is not None else 0.5
-        ell = g.ell if g is not None else 2
-        r = int(32 * sqrt(max(eps, 0.0)) / alpha)
-        r = min(r, max(0, int(np.ceil(ell / 4)) - 1), ell - 1)
-        cfg = RoundingConfig(regime="close_to_1", eps=eps, r=r, degree=degree,
-                             seed=seed, gamma=max(eps, 0.05))
-        return cfg
+        if g is None:
+            raise ValueError("RoundingConfig.for_instance needs a Johnson graph tag")
+        r = int(32 * sqrt(max(eps, 0.0)) / g.alpha)
+        r = min(r, max(0, int(np.ceil(g.ell / 4)) - 1), g.ell - 1)
+        return RoundingConfig(regime="close_to_1", eps=eps, r=r, degree=degree,
+                              seed=seed, gamma=max(eps, 0.05))
 
     @staticmethod
     def low_completeness(inst: UGInstance, c: float, degree: int = 4,
                          seed: int = 0) -> "RoundingConfig":
         g = inst.graph_tag
-        alpha = g.alpha if g is not None else 0.5
-        ell = g.ell if g is not None else 2
-        r = max(1, int(np.ceil(log(c) / log(1 - alpha))))
-        r = min(r, ell - 1)
+        if g is None:
+            raise ValueError("RoundingConfig.low_completeness needs a Johnson graph tag")
+        r = min(max(1, int(np.ceil(log(c) / log(1 - g.alpha)))), g.ell - 1)
         return RoundingConfig(regime="low_completeness", c=c, r=r, degree=degree,
                               seed=seed, gamma=max(c * c, 0.05))
 
@@ -304,10 +302,9 @@ def rt_reduce(pe: PseudoExpectation, S: Sequence[int], E: EventPoly,
         # candidate tuples: seeded vertex pair order, values by marginal mass
         pairs = list(itertools.combinations(S, 2))
         order = rng.permutation(len(pairs))
+        cand = [pairs[int(t)] for t in order[:max(4, len(pairs) // 2)]]
         accepted = False
-        for t in order[:max(4, len(pairs) // 2)]:
-            (u, v) = pairs[int(t)]
-            joint = mu[side].tuple_moments([(u, v)])[0]
+        for (u, v), joint in zip(cand, mu[side].tuple_moments(cand)):
             cells = sorted(((float(joint[a, b]), a, b) for a in range(pe.q)
                             for b in range(pe.q)), key=lambda c: (-round(c[0], 12),
                                                                   c[1], c[2]))
@@ -391,8 +388,7 @@ def subround(inst: UGInstance, pe: PseudoExpectation,
              cfg: RoundingConfig) -> tuple[np.ndarray, dict]:
     """Pipeline: product -> find event/subcube -> rt_reduce -> condition on
     the event -> TV check -> symmetrize -> Condition&Round on each copy inside
-    the subcube; returns the better assignment and the full record.  The
-    search always chooses the subcube, so the record's given_a is None.  A
+    the subcube; returns the better assignment and the full record.  A
     solved table is shift-invariant and symmetrising it returns it, so when
     the reduction conditions neither copy (every D = 4 run) the two copies
     are one object: Condition&Round and Psi run once and fill both copies'
@@ -400,7 +396,7 @@ def subround(inst: UGInstance, pe: PseudoExpectation,
     g = inst.graph_tag
     if pe.degree < 4:
         raise ValueError("SubRound needs a degree >= 4 pseudoexpectation")
-    record: dict = {"given_a": None}
+    record: dict = {}
     pe_sym = shift_symmetrize(pe)
     prod0 = product(pe_sym)
     try:

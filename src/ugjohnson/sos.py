@@ -984,13 +984,16 @@ def validate(pe: PseudoExpectation) -> dict:
     return rep
 
 
-def clamp_distribution(vec: np.ndarray, policy: float = CLAMP_NEG) -> np.ndarray:
-    """Clamp small negative entries to 0 and renormalize; larger negativity fails."""
-    v = np.asarray(vec, dtype=float)
-    if v.min() < -policy:
-        raise ValidityError(f"negative probability {v.min()} beyond the clamp policy")
+def clamp_distribution(J: np.ndarray) -> np.ndarray:
+    """Each distribution J[b] of a batch with entries below 0 clamped to 0 and
+    renormalised; ValidityError, with the batch's minimum, when an entry is
+    below -CLAMP_NEG."""
+    v = np.asarray(J, dtype=float)
+    low = v.min(initial=0.0)
+    if low < -CLAMP_NEG:
+        raise ValidityError(f"negative probability {low} beyond -CLAMP_NEG")
     v = np.clip(v, 0.0, None)
-    s = v.sum()
-    if s <= 0:
+    s = v.sum(axis=tuple(range(1, v.ndim)), keepdims=True)
+    if (s <= 0).any():
         raise ValidityError("distribution has no mass after clamping")
     return v / s

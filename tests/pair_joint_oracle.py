@@ -41,7 +41,7 @@ def y_joint(prod, u, v):
     q, moment = prod.q, memoised(prod).moment
     cells = [moment(canon([(0, u, a), (0, v, b), (1, u, c), (1, v, d)]))
              for a, b, c, d in itertools.product(range(q), repeat=4)]
-    return clamp_distribution(np.asarray(cells)).reshape((q,) * 4)
+    return clamp_distribution(np.asarray(cells).reshape((1,) + (q,) * 4))[0]
 
 
 def joint(prod, t0, t1):

@@ -161,10 +161,10 @@ def test_a_joint_beyond_a_side_degree_raises():
     inst, _, solved = _mixture_521()
     prod = sos.product(solved)
     cond = prod.condition(_squared_density(inst, list(range(10)), 0))
-    six = tuple(("X", u) for u in range(6))
-    assert LocalDistributionCollection(prod).joint(six).shape == (2,) * 6
-    assert LocalDistributionCollection(cond).joint(six[:4]).shape == (2,) * 4
-    for pr, slots in ((prod, six + (("X", 6),)), (cond, six[:5]),
-                      (cond, six[:2] + tuple(("Xp", u) for u in range(5)))):
+    six, none = [tuple(range(6))], [()]
+    assert LocalDistributionCollection(prod).joint(six, none).shape == (1,) + (2,) * 6
+    assert LocalDistributionCollection(cond).joint([six[0][:4]], none).shape == (1,) + (2,) * 4
+    for pr, V0, V1 in ((prod, [tuple(range(7))], none), (cond, [six[0][:5]], none),
+                       (cond, [six[0][:2]], [tuple(range(5))])):
         with pytest.raises(sos.DegreeExhausted):
-            LocalDistributionCollection(pr).joint(slots)
+            LocalDistributionCollection(pr).joint(V0, V1)

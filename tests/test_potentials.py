@@ -9,7 +9,7 @@ from ugjohnson.potentials import (LocalDistributionCollection, potential_restric
                                   data_processing_check, default_eps_schedule,
                                   dense_subcube_indicators, edge_cover_decompose, g_parts,
                                   mutual_information, pairwise_mi, phi_integral,
-                                  phi_potential, pinsker_check, psi_potential, y_slots)
+                                  phi_potential, pinsker_check, psi_potential)
 from ugjohnson.ug_core import satisfied_mask, vertex_values
 
 
@@ -82,7 +82,7 @@ def test_psi_examples(setup):
 def test_extract_local_integral_point_masses(setup):
     g, inst, A, p = setup
     prod = sos.ProductPE(sos.from_assignment(A, 2), sos.from_assignment(A, 2))
-    arr = LocalDistributionCollection(prod).joint(y_slots(0, 1, False))
+    arr = LocalDistributionCollection(prod).joint([(0, 1)], [()])[0]
     # a point mass at the assignment
     assert arr[A[0], A[1]] == pytest.approx(1.0)
 
@@ -92,8 +92,7 @@ def test_extract_local_product_factorizes(setup):
     rng = np.random.default_rng(2)
     xp = rng.integers(0, 2, 10)
     prod = sos.ProductPE(sos.from_assignment(A, 2), sos.from_assignment(xp, 2))
-    slots = (("X", 0), ("Xp", 0))
-    arr = LocalDistributionCollection(prod).joint(slots)
+    arr = LocalDistributionCollection(prod).joint([(0,)], [(0,)])[0]
     assert arr[A[0], xp[0]] == pytest.approx(1.0)
 
 
@@ -102,8 +101,7 @@ def test_extract_local_marginal_consistency(setup):
     pe = sos.solve(sos.relax(inst, 4))
     prod = sos.product(pe)
     coll = LocalDistributionCollection(prod)
-    j01 = coll.joint((("X", 0), ("X", 1)))
-    j02 = coll.joint((("X", 0), ("X", 2)))
+    j01, j02 = coll.joint([(0, 1), (0, 2)], [(), ()])
     assert np.abs(j01.sum(axis=1) - j02.sum(axis=1)).max() < 1e-8
 
 
@@ -112,8 +110,33 @@ def test_extract_local_clamp_policy(setup):
     pe = sos.solve(sos.relax(inst, 4))
     prod = sos.product(pe)
     coll = LocalDistributionCollection(prod)
-    arr = coll.joint((("X", 3), ("X", 7)))
+    arr = coll.joint([(3, 7)], [()])[0]
     assert arr.min() >= 0.0 and arr.sum() == pytest.approx(1.0)
+
+
+def test_pairwise_mi_reads_one_batch_per_estimate(setup, monkeypatch):
+    # the 30 sampled four-vertex joints of one copy are one read, and each
+    # row's MI is that of the joint read on its own
+    g, inst, A, p = setup
+    pe = sos.solve(sos.relax(inst, 4))
+    coll = LocalDistributionCollection(sos.ProductPE(pe, pe))
+    joint, reads = LocalDistributionCollection.joint, []
+
+    def counted(self, *args):
+        reads.append(args)
+        return joint(self, *args)
+
+    monkeypatch.setattr(LocalDistributionCollection, "joint", counted)
+    for primed in (False, True):
+        stats = pairwise_mi(coll, range(10), primed=primed, max_pairs=30, seed=1)
+        assert len(stats.values) == 30 and len(reads) == 1
+        V0, V1 = reads.pop()
+        V = [p1 + p2 for p1, p2 in stats.pairs]
+        assert (list(V1), list(V0)) == ((V, [()] * 30) if primed else ([()] * 30, V))
+        for t, val in zip(V, stats.values):
+            single = joint(coll, [t], [()])[0]
+            assert val == max(mutual_information(single, (0, 1), (2, 3)), 0.0)
+    assert pairwise_mi(coll, range(3)).values == [] and not reads
 
 
 # --------------------------------------------------------------------------
@@ -261,7 +284,7 @@ def test_data_processing_on_extracted_locals(setup):
     pe = sos.solve(sos.relax(inst, 4))
     prod = sos.product(pe)
     coll = LocalDistributionCollection(prod)
-    joint = coll.joint((("X", 0), ("Xp", 1))).reshape(2, 2)
+    joint = coll.joint([(0,)], [(1,)])[0]
     rng = np.random.default_rng(2)
     for _ in range(10):
         gmap, hmap = rng.integers(0, 2, 2), rng.integers(0, 2, 2)
@@ -302,8 +325,8 @@ def test_support_and_moment_paths_agree(setup):
     # local joints
     ca = LocalDistributionCollection(prod_support)
     cb = LocalDistributionCollection(prod_table)
-    slots = (("X", 0), ("X", 3), ("Xp", 0), ("Xp", 3))
-    assert np.abs(ca.joint(slots) - cb.joint(slots)).max() < 1e-10
+    V = [(0, 3)]
+    assert np.abs(ca.joint(V, V) - cb.joint(V, V)).max() < 1e-10
     # pairwise MI through both routes
     sa = pairwise_mi(ca, range(6), max_pairs=10)
     sb = pairwise_mi(cb, range(6), max_pairs=10)
@@ -323,7 +346,7 @@ def test_conditioned_support_and_moment_paths_agree(setup):
     E = EventPoly(density_poly(inst, list(range(10)), 0), description="delta(G_0)")
     ca = sos.ProductPE(mix, mix).condition(E)
     cb = sos.ProductPE(solved_like, solved_like).condition(E)
-    ja = LocalDistributionCollection(ca).joint((("X", 1), ("Xp", 1)))
-    jb = LocalDistributionCollection(cb).joint((("X", 1), ("Xp", 1)))
+    ja = LocalDistributionCollection(ca).joint([(1,)], [(1,)])
+    jb = LocalDistributionCollection(cb).joint([(1,)], [(1,)])
     assert np.abs(ja - jb).max() < 1e-10
     assert phi_potential(ca, range(10)) == pytest.approx(phi_potential(cb, range(10)), abs=1e-10)

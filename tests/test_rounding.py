@@ -323,6 +323,34 @@ def _planted_run(n, q, eps, D, seed):
     return main_algorithm(inst, cfg, witness=A)[1]
 
 
+@pytest.mark.parametrize("n, q", [(5, 2), (4, 3)])
+def test_each_rt_reduce_round_reads_its_candidates_in_one_gather(monkeypatch, n, q):
+    # degree 6, where rt_reduce conditions: a round that reaches its candidate
+    # tuples (one per accepted tuple, plus a last "no_gain" round) reads all
+    # their pair marginals with one tuple_moments call
+    reads, inside = [], []
+    tuple_moments, reduce = sos.PseudoExpectation.tuple_moments, rounding.rt_reduce
+
+    def counted(self, V):
+        if inside:
+            reads.append(len(V))
+        return tuple_moments(self, V)
+
+    def traced(*args, **kw):
+        inside.append(True)
+        try:
+            return reduce(*args, **kw)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(sos.PseudoExpectation, "tuple_moments", counted)
+    monkeypatch.setattr(rounding, "rt_reduce", traced)
+    rt = _planted_run(n, q, 0.3, 6, 16).records[0]["rt_reduce"]
+    rounds = len(rt["tuples"]) + (rt["stop"] == "no_gain")
+    assert rt["tuples"] and len(reads) == rounds
+    assert all(k >= 4 for k in reads)
+
+
 def test_subround_measures_an_untouched_copy_once(monkeypatch):
     # round_admm's seed-1 instance: at D = 4 the reduction conditions neither
     # copy, so both are the solved table, measured once and recorded twice
@@ -462,6 +490,17 @@ def test_low_completeness_regime_subround():
 def test_config_validation():
     with pytest.raises(ValueError):
         RoundingConfig(regime="bogus")
+
+
+def test_configs_for_an_instance_need_a_graph_tag(planted421):
+    # alpha and ell come from the Johnson graph; there is no default for them
+    _, inst, _ = planted421
+    tagless = ug_core.UGInstance(inst.vertex_count, inst.q, inst.edges, inst.weights)
+    assert tagless.graph_tag is None
+    with pytest.raises(ValueError, match="graph tag"):
+        RoundingConfig.for_instance(tagless, eps=0.0)
+    with pytest.raises(ValueError, match="graph tag"):
+        RoundingConfig.low_completeness(tagless, c=0.5)
 
 
 def test_trace_config_echoes_the_fixed_parameters(planted421):

@@ -159,7 +159,13 @@ def test_lost_factorisation_ends_the_solve_stalled(monkeypatch):
     # numerically PD, and the last PD dual iterate comes back flagged
     res = solve_ipm(rel.problem, tol=0.0, max_iter=200)
     assert res.status == "stalled" and res.iterations < 200
-    np.linalg.cholesky(rel.problem.assemble(res.y))  # raises unless M(y) is PD
+    # M(y) is PD when each diagonal block's Cholesky succeeds, the test that
+    # solve_ipm applies to its iterates; a Cholesky of the whole block-diagonal
+    # matrix, whose blocks' smallest eigenvalues are of order -1e-15, succeeds or
+    # fails with the BLAS thread count
+    M, ends = rel.problem.assemble(res.y), np.cumsum((0,) + rel.problem.blocks)
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        np.linalg.cholesky(M[lo:hi, lo:hi])  # raises unless the block is PD
     monkeypatch.setattr(sos, "solve_ipm", functools.partial(solve_ipm, tol=0.0, max_iter=200))
     pe = sos.solve(rel)
     assert pe.solve_info["status"] == "stalled"

@@ -341,6 +341,20 @@ def test_conditioning_a_conditioned_product_multiplies_the_events(j421_solved):
         assert twice.moment(m) == pytest.approx(want, abs=1e-12, rel=0)
 
 
+def test_clamp_distribution_normalises_each_row_and_raises_on_any_row():
+    # row 1 carries a negative entry inside -CLAMP_NEG: it is clamped, and
+    # each row is renormalised by its own mass, not the batch's
+    J = np.array([[[0.2, 0.2], [0.2, 0.2]], [[1.0, 3.0], [-0.5 * sos.CLAMP_NEG, 0.0]]])
+    out = sos.clamp_distribution(J)
+    assert np.array_equal(out, [[[0.25, 0.25], [0.25, 0.25]], [[0.25, 0.75], [0.0, 0.0]]])
+    for b in range(2):
+        bad = J.copy()
+        bad[b, 1, 1] = -2 * sos.CLAMP_NEG
+        with pytest.raises(sos.ValidityError, match="negative probability -2e-08"):
+            sos.clamp_distribution(bad)
+    assert sos.clamp_distribution(np.zeros((0, 2, 2))).shape == (0, 2, 2)
+
+
 def test_condition_requires_provenance(j421_solved):
     _, _, _, pe = j421_solved
     bad = EventPoly({var(0, 0): 5.0}, provenance="surrogate")
